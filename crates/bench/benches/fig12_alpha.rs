@@ -5,8 +5,7 @@
 //! short-circuits fire earlier). One Criterion group per data set,
 //! one benchmark per α ∈ {2, 4, 8, 16}.
 
-use ab::AbConfig;
-use bench::{paper_level, Bundle};
+use bench::{paper_config, Bundle};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -20,7 +19,7 @@ fn bench_alpha(c: &mut Criterion) {
             .warm_up_time(Duration::from_millis(200))
             .measurement_time(Duration::from_millis(600));
         for alpha in [2u64, 4, 8, 16] {
-            let ab = bundle.ab(&AbConfig::new(paper_level(&bundle.ds.name)).with_alpha(alpha));
+            let ab = bundle.ab(&paper_config(&bundle.ds.name).with_alpha(alpha));
             group.bench_function(format!("alpha={alpha}").as_str(), |b| {
                 b.iter(|| {
                     for q in &queries {

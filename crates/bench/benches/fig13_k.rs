@@ -3,8 +3,7 @@
 //! The paper: "As k increases the execution time increases linearly" —
 //! each probe computes k hash functions.
 
-use ab::AbConfig;
-use bench::{paper_alpha, paper_level, Bundle};
+use bench::{paper_alpha, paper_config, Bundle};
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::small_uniform;
 use std::time::Duration;
@@ -18,7 +17,7 @@ fn bench_k(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(600));
     for k in [1usize, 2, 4, 6, 8, 10] {
-        let cfg = AbConfig::new(paper_level("uniform"))
+        let cfg = paper_config("uniform")
             .with_alpha(paper_alpha("uniform"))
             .with_k(k);
         let ab = bundle.ab(&cfg);

@@ -3,17 +3,13 @@
 //! Three engines over the same workload:
 //!
 //! * `scalar`  — the row-at-a-time Figure 7 reference loop;
-//! * `batched` — the hoisted, prefetch-pipelined kernel (64-row
-//!   batches, breadth-first probe resolution);
+//! * `batched` — the hoisted 64-row mask kernel;
 //! * `blocked_word_parallel` — `BlockedAb` cell probes, where all k
 //!   in-block bits collapse into two u64 mask tests.
 //!
-//! The headline out-of-LLC numbers come from `repro_kernel` /
-//! `repro_simd` (BENCH_kernel.json / BENCH_simd.json; the `simd` rows
-//! here need `--features simd` to differ from `batched`); this bench
-//! tracks relative regressions at
-//! CI-friendly sizes. Run `cargo bench -p bench --bench kernel`
-//! (optionally with `--features prefetch`).
+//! The headline out-of-LLC numbers come from `repro_kernel`
+//! (BENCH_kernel.json); this bench tracks relative regressions at
+//! CI-friendly sizes. Run `cargo bench -p bench --bench kernel`.
 
 use ab::{AbConfig, BlockedAb, KernelKind, Level};
 use bench::Bundle;
@@ -39,7 +35,6 @@ fn bench_rect_kernels(c: &mut Criterion) {
         for (name, kernel) in [
             ("scalar", KernelKind::Scalar),
             ("batched", KernelKind::Batched),
-            ("simd", KernelKind::Simd),
         ] {
             group.bench_function(name, |b| {
                 b.iter(|| {
@@ -70,7 +65,6 @@ fn bench_cell_kernels(c: &mut Criterion) {
     for (name, kernel) in [
         ("scalar", KernelKind::Scalar),
         ("batched", KernelKind::Batched),
-        ("simd", KernelKind::Simd),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| std::hint::black_box(ab.retrieve_cells_with_kernel(&cells, kernel)))

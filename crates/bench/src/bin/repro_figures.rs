@@ -18,7 +18,7 @@
 
 use ab::{AbConfig, Sizing};
 use bench::{
-    ab_query_time_ms, cli, mean_precision, mean_tuples, paper_alpha, paper_level, print_table,
+    ab_query_time_ms, cli, mean_precision, mean_tuples, paper_alpha, paper_config, print_table,
     wah_query_time_ms, write_bench_snapshot, Bundle,
 };
 use hashkit::{HashFamily, HashKind};
@@ -241,7 +241,7 @@ fn fig11a(opts: &cli::Options) {
     for alpha in [2u64, 4, 8, 16] {
         let mut row = vec![alpha.to_string()];
         for b in &bundles {
-            let ab_idx = b.ab(&AbConfig::new(paper_level(&b.ds.name)).with_alpha(alpha));
+            let ab_idx = b.ab(&paper_config(&b.ds.name).with_alpha(alpha));
             let queries = b.queries(b.ds.rows() / 10, opts.seed + 1);
             row.push(format!(
                 "{:.3}",
@@ -259,7 +259,7 @@ fn fig11a(opts: &cli::Options) {
     // scale-dependent; print it so small-scale runs are interpretable
     // against the paper's full-scale numbers.
     for b in &bundles {
-        let ab_idx = b.ab(&AbConfig::new(paper_level(&b.ds.name)).with_alpha(8));
+        let ab_idx = b.ab(&paper_config(&b.ds.name).with_alpha(8));
         let eff = (ab_idx.size_bytes() * 8) as f64 / b.ds.total_set_bits() as f64;
         println!(
             "{}: nominal alpha=8 -> effective alpha={eff:.2} at this scale",
@@ -275,7 +275,7 @@ fn fig11b(opts: &cli::Options) {
     for k in 1..=10usize {
         let mut row = vec![k.to_string()];
         for b in &bundles {
-            let cfg = AbConfig::new(paper_level(&b.ds.name))
+            let cfg = paper_config(&b.ds.name)
                 .with_alpha(paper_alpha(&b.ds.name))
                 .with_k(k);
             let ab_idx = b.ab(&cfg);
@@ -345,9 +345,7 @@ fn fig12(opts: &cli::Options) {
     for alpha in [2u64, 4, 8, 16] {
         let mut row = vec![alpha.to_string()];
         for b in &bundles {
-            let ab_idx = b.ab(&AbConfig::new(paper_level(&b.ds.name))
-                .with_alpha(alpha)
-                .with_k(k));
+            let ab_idx = b.ab(&paper_config(&b.ds.name).with_alpha(alpha).with_k(k));
             let queries = b.queries(b.ds.rows() / 10, opts.seed + 1);
             row.push(format!("{:.4}", ab_query_time_ms(&ab_idx, &queries)));
         }
@@ -367,7 +365,7 @@ fn fig13(opts: &cli::Options) {
     for k in 1..=10usize {
         let mut row = vec![k.to_string()];
         for b in &bundles {
-            let cfg = AbConfig::new(paper_level(&b.ds.name))
+            let cfg = paper_config(&b.ds.name)
                 .with_alpha(paper_alpha(&b.ds.name))
                 .with_k(k);
             let ab_idx = b.ab(&cfg);

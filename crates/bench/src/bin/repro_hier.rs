@@ -4,7 +4,7 @@
 //! turns large low-selectivity rects from full scans into a handful
 //! of span-sized scans: a coarse miss is a definite absence, so whole
 //! row-span × bin-range regions are pruned before the per-row
-//! batched/SIMD kernel runs.
+//! batched kernel runs.
 //!
 //! The data set is **clustered** (the regime pruning exists for):
 //! one 16-bin attribute laid out in contiguous runs. Bins 0–7 are
@@ -32,10 +32,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const CARD: u32 = 16;
-const KERNELS: [(KernelKind, &str); 3] = [
+const KERNELS: [(KernelKind, &str); 2] = [
     (KernelKind::Scalar, "scalar"),
     (KernelKind::Batched, "batched"),
-    (KernelKind::Simd, "simd"),
 ];
 /// Selectivity sweep: (bin, ppm of the table that bin holds).
 const SWEEP: [(u32, usize); 5] = [

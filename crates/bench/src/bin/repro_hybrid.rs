@@ -41,10 +41,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const CARD: u32 = 16;
-const KERNELS: [(KernelKind, &str); 3] = [
+const KERNELS: [(KernelKind, &str); 2] = [
     (KernelKind::Scalar, "scalar"),
     (KernelKind::Batched, "batched"),
-    (KernelKind::Simd, "simd"),
 ];
 /// Selectivity sweep: (bin, ppm of the table that bin holds).
 const SWEEP: [(u32, usize); 5] = [

@@ -1,11 +1,9 @@
 //! Probe-kernel throughput: scalar vs batched rect execution.
 //!
-//! Reproduces the DESIGN.md §13 claim that the batched,
-//! prefetch-pipelined kernel dominates the row-at-a-time reference
-//! loop once the AB falls out of the last-level cache: hash state is
-//! hoisted per (attribute, bin), first-probe addresses for a 64-row
-//! batch are computed and prefetched up front, and probes resolve
-//! breadth-first so the k memory latencies of many rows overlap.
+//! Compares the DESIGN.md §13 mask kernel with the row-at-a-time
+//! reference loop: hash state is hoisted per (attribute, bin), and
+//! each bin probes a 64-row word's surviving candidates in a run of
+//! independent cell tests, so the probes of many rows overlap.
 //!
 //! Two AB sizes bracket the memory hierarchy:
 //!
@@ -18,7 +16,7 @@
 //! Each size runs at k ∈ {4, 8, 16}. Results land in
 //! `BENCH_kernel.json` (`kernel.rows_per_sec.*`, `kernel.speedup.*`)
 //! next to the raw obs counters (`kernel.batches`,
-//! `kernel.prefetches`, `kernel.scalar_fallbacks`).
+//! `kernel.scalar_fallbacks`).
 //!
 //! Usage: `repro_kernel [--quick]` — `--quick` shrinks both configs to
 //! smoke-test sizes (no JSON claims should be read off a quick run).
@@ -173,23 +171,11 @@ fn main() {
         ],
         &rows_out,
     );
-    println!(
-        "\nprefetch feature: {}",
-        if ab::PREFETCH_ACTIVE {
-            "active"
-        } else {
-            "inactive"
-        }
-    );
 
     let mut snap = obs::global().snapshot();
     for (key, v) in snap_extras {
         snap = snap.with_extra(&key, v);
     }
-    snap = snap.with_extra(
-        "kernel.prefetch_active",
-        if ab::PREFETCH_ACTIVE { 1.0 } else { 0.0 },
-    );
     if quick {
         println!("(quick mode: skipping BENCH_kernel.json)");
     } else {

@@ -40,6 +40,14 @@ pub fn paper_level(name: &str) -> Level {
     }
 }
 
+/// The paper's AB configuration for a data set: its §6.1 level and the
+/// independent Partow roster the paper's figures were measured with.
+/// The library default serves double hashing; pinning the roster here
+/// keeps every reproduced figure and table on the paper's family.
+pub fn paper_config(name: &str) -> AbConfig {
+    AbConfig::new(paper_level(name)).with_family(hashkit::HashFamily::default_independent())
+}
+
 /// A fully prepared experimental subject: data + both index families.
 pub struct Bundle {
     /// The generated data set.
@@ -73,7 +81,7 @@ impl Bundle {
 
     /// The paper's default AB for this data set.
     pub fn paper_ab(&self) -> AbIndex {
-        self.ab(&AbConfig::new(paper_level(&self.ds.name)).with_alpha(paper_alpha(&self.ds.name)))
+        self.ab(&paper_config(&self.ds.name).with_alpha(paper_alpha(&self.ds.name)))
     }
 
     /// Sampled queries targeting `rows` rows (§5.4 workhorse shape).

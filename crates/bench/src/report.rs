@@ -1,6 +1,6 @@
 //! `abq bench-report`: folds the `BENCH_*.json` snapshots the repro
-//! binaries drop (`repro_kernel` → `BENCH_kernel.json`, `repro_simd` →
-//! `BENCH_simd.json`, …) into one summary so the perf trajectory is
+//! binaries drop (`repro_kernel` → `BENCH_kernel.json`, `repro_hier` →
+//! `BENCH_hier.json`, …) into one summary so the perf trajectory is
 //! diffable across PRs.
 //!
 //! The snapshots are written by [`obs::Snapshot::to_json`]; the repo
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 /// The parts of a `BENCH_*.json` snapshot the report consumes:
 /// everything numeric, flattened to `section.path` keys
-/// (`counters.kernel.batches`, `extra.kernel.rows_per_sec.simd.k8.out_llc`,
+/// (`counters.kernel.batches`, `extra.kernel.rows_per_sec.batched.k8.out_llc`,
 /// `histograms.ab.query.us.count`, …).
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct BenchSnapshot {
@@ -683,17 +683,10 @@ pub fn bench_report(paths: &[std::path::PathBuf]) -> Result<String, String> {
         for key in [
             "extra.kernel.ab_bytes.in_llc",
             "extra.kernel.ab_bytes.out_llc",
-            "extra.kernel.prefetch_active",
-            "extra.kernel.simd_compiled",
             "extra.kernel.batch_rows.out_llc",
         ] {
             if let Some(v) = snap.get(key) {
                 let _ = writeln!(out, "{source}: {} = {v}", &key["extra.".len()..]);
-            }
-        }
-        for key in ["counters.kernel.simd_waves", "counters.kernel.scalar_waves"] {
-            if let Some(v) = snap.get(key) {
-                let _ = writeln!(out, "{source}: {} = {v}", &key["counters.".len()..]);
             }
         }
         // Socket reliability: connection-level failures and heals.
@@ -735,8 +728,7 @@ mod tests {
 
     const SAMPLE: &str = r#"{
   "counters": {
-    "kernel.batches": 12,
-    "kernel.simd_waves": 900
+    "kernel.batches": 12
   },
   "histograms": {
     "ab.query.us": { "count": 3, "sum": 42, "min": 1, "max": 40 }
@@ -744,7 +736,7 @@ mod tests {
   "extra": {
     "kernel.ab_bytes.out_llc": 536870912,
     "kernel.rows_per_sec.scalar.k8.out_llc": 2.5e6,
-    "kernel.rows_per_sec.simd.k8.out_llc": 10e6
+    "kernel.rows_per_sec.batched.k8.out_llc": 10e6
   }
 }
 "#;
@@ -755,7 +747,7 @@ mod tests {
         assert_eq!(s.get("counters.kernel.batches"), Some(12.0));
         assert_eq!(s.get("histograms.ab.query.us.count"), Some(3.0));
         assert_eq!(
-            s.get("extra.kernel.rows_per_sec.simd.k8.out_llc"),
+            s.get("extra.kernel.rows_per_sec.batched.k8.out_llc"),
             Some(10e6)
         );
         assert_eq!(s.get("nope"), None);
@@ -763,7 +755,7 @@ mod tests {
             .with_prefix("extra.kernel.rows_per_sec.")
             .map(|(k, _)| k.to_string())
             .collect();
-        assert_eq!(ks, vec!["scalar.k8.out_llc", "simd.k8.out_llc"]);
+        assert_eq!(ks, vec!["batched.k8.out_llc", "scalar.k8.out_llc"]);
     }
 
     #[test]
@@ -793,20 +785,23 @@ mod tests {
     fn report_folds_files_and_computes_speedup() {
         let dir = std::env::temp_dir().join("bench_report_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("BENCH_simd.json");
+        let p = dir.join("BENCH_kernel.json");
         std::fs::write(&p, SAMPLE).unwrap();
         let missing = dir.join("BENCH_absent.json");
         let report = bench_report(&[p, missing]).unwrap();
         assert!(report.contains("4.00x"), "{report}");
         assert!(report.contains("skipped"), "{report}");
-        assert!(report.contains("kernel.simd_waves = 900"), "{report}");
+        assert!(
+            report.contains("kernel.ab_bytes.out_llc = 536870912"),
+            "{report}"
+        );
     }
 
     #[test]
     fn malformed_snapshot_is_a_hard_error_naming_the_file() {
         let dir = std::env::temp_dir().join("bench_report_malformed_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let good = dir.join("BENCH_simd.json");
+        let good = dir.join("BENCH_kernel.json");
         std::fs::write(&good, SAMPLE).unwrap();
         let bad = dir.join("BENCH_bad.json");
         std::fs::write(&bad, "{oops").unwrap();
@@ -834,10 +829,10 @@ mod tests {
     "hier.rows_skipped": 15000000
   },
   "extra": {
-    "hier.rows_per_sec.flat.simd.full.sel10ppm": 2.0e8,
-    "hier.rows_per_sec.hier.simd.full.sel10ppm": 3.0e9,
-    "hier.rows_per_sec.flat.simd.full.sel800ppm": 2.0e8,
-    "hier.rows_per_sec.hier.simd.full.sel800ppm": 4.0e8
+    "hier.rows_per_sec.flat.batched.full.sel10ppm": 2.0e8,
+    "hier.rows_per_sec.hier.batched.full.sel10ppm": 3.0e9,
+    "hier.rows_per_sec.flat.batched.full.sel800ppm": 2.0e8,
+    "hier.rows_per_sec.hier.batched.full.sel800ppm": 4.0e8
   }
 }
 "#,

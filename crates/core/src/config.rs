@@ -70,14 +70,17 @@ pub struct AbConfig {
 }
 
 impl AbConfig {
-    /// The experimental default: per-attribute ABs with α = 8 and the
-    /// independent hash roster.
+    /// The served default: per-attribute ABs with α = 8 and double
+    /// hashing, whose measured false-positive rate tracks §4's
+    /// `(1 − e^{−k/α})^k` (DESIGN.md §6). Paper-figure reproductions
+    /// pin [`HashFamily::default_independent`] with
+    /// [`Self::with_family`].
     pub fn new(level: Level) -> Self {
         AbConfig {
             level,
             sizing: Sizing::Alpha(8),
             k: None,
-            family: HashFamily::default_independent(),
+            family: HashFamily::DoubleHashing,
         }
     }
 

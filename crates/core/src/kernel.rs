@@ -1,112 +1,67 @@
-//! Batched, prefetch-pipelined, SIMD-widened probe kernel
-//! (DESIGN.md §13–§14).
+//! The 64-row mask probe kernel (DESIGN.md §13).
 //!
 //! The paper's retrieval algorithms (Figures 5 and 7) are O(c·k) in
-//! *probe count*, but the scalar implementation realizes each probe as
-//! a dependent random bit read: the next AB word address is only known
-//! after the previous bit arrives, so a large rect query is bound by
-//! `c · memory latency`, not by bandwidth. This module restructures the
-//! same computation without changing a single observable result:
+//! probe count. The reference loop in `query.rs` evaluates them one
+//! row at a time. This module evaluates the same algorithms over
+//! blocks of rows held as 64-row machine words, without changing a
+//! single observable result:
 //!
-//! 1. **Hash hoisting** — a rect query touches the same (attribute,
+//! 1. **Hash hoisting.** A rect query touches the same (attribute,
 //!    bin) columns for every row, so the row-independent half of the
-//!    probe pipeline (family dispatch, reduction mask, SHA-1 chunk
-//!    width, column-group geometry) is computed once per query into a
-//!    `CellPlan` and per-row positions come from the cheap mixer via
+//!    probe pipeline (family dispatch, reduction mask, column-group
+//!    geometry) is computed once per query into a `CellPlan`. Per-row
+//!    positions then come from the cheap mixer via
 //!    [`hashkit::ColProber`].
-//! 2. **Stage-pipelined probing** — rows are processed in batches;
-//!    each live row ("lane") keeps exactly one probe in flight, its AB
-//!    word prefetched, and probes are resolved breadth-first across
-//!    the batch so many memory latencies overlap instead of
-//!    serializing.
-//! 3. **SIMD gather waves** ([`KernelKind::Simd`]) — the breadth-first
-//!    pass splits into *waves* of up to [`SIMD_WAVE`] lanes whose AB
-//!    words are fetched with one vector gather (AVX-512 / AVX2 on
-//!    x86-64, paired NEON loads on aarch64) and whose bits are tested
-//!    with vector shifts and masks. The engine is picked at runtime
-//!    ([`active_simd_engine`]); without the `simd` feature or on an
-//!    unsupported CPU the kernel degrades to the scalar wave loop.
-//! 4. **Adaptive batch sizing** — the fixed 64-row batch of the first
-//!    batched kernel becomes [`BatchRows::Adaptive`]: the batch depth
-//!    is chosen per query from the resolved AB footprint against the
-//!    machine's cache hierarchy ([`CacheModel`]) — shallow batches for
-//!    L2-resident ABs (latency is short; deep pipelines only add
-//!    bookkeeping), the classic 64 inside the LLC, and
-//!    [`MAX_BATCH_ROWS`]-deep pipelines for DRAM-resident ABs where
-//!    every independent miss in flight pays for itself.
-//! 5. **Short-circuit preservation** — a lane advances through bins and
-//!    ranges exactly as the scalar Figure 7 loop does (OR short-circuit
-//!    on the first present cell, AND short-circuit on the first empty
-//!    range, per-cell break on the first zero bit), so `cells_probed`
-//!    and `bits_read` are identical to the scalar path bit for bit.
+//! 2. **Mask narrowing.** For each block, an `alive` word per 64 rows
+//!    starts full. Each range ORs its bins into a `hit` word: a bin
+//!    probes only the candidates `alive & !hit`, each with Figure 5's
+//!    break at the first zero bit, and sets the rows it admits. After
+//!    the range, `alive &= hit`. That is Figure 7's OR short-circuit
+//!    (a row hit by one bin is never probed for the next) and AND
+//!    short-circuit (a row dead after one range is never probed
+//!    again), so `cells_probed`, `bits_read` and the OR short-circuit
+//!    count equal the scalar loop's exactly.
+//! 3. **The hybrid fold.** For the exact tier's mixed ranges, `hit`
+//!    starts from the backed bins' exact-container words and only the
+//!    unbacked bins are probed. A second `alive` word tracks the flat
+//!    AB's verdict from the `E ∪ F` words (see [`crate::hybrid`]), so
+//!    `fp_rows_eliminated` costs no probe.
 //!
-//! Prefetch instructions are gated behind the `prefetch` cargo feature
-//! (x86-64 `_mm_prefetch`, aarch64 `prfm`); SIMD gathers behind the
-//! `simd` feature. On other targets or with the features off the
-//! kernel still wins from the overlapped independent loads the
-//! breadth-first order exposes.
+//! [`BatchRows`] sets the block: rows per block, rounded up to whole
+//! 64-row words, at most [`MAX_BATCH_ROWS`].
 //!
-//! Observability: `kernel.batches` (row/cell batches opened),
-//! `kernel.simd_waves` / `kernel.scalar_waves` (how each breadth-first
-//! wave was resolved), `kernel.prefetches` (prefetch instructions
-//! *actually executed* — zero on no-op fallback builds),
+//! Observability: `kernel.batches` (blocks opened),
 //! `kernel.cell_plans_deduped` (Figure 5 plan-hoisting hits), and the
-//! `kernel.batch_rows` histogram (adaptive depth decisions).
+//! `kernel.batch_rows` histogram (block sizes chosen).
 
 use crate::encoding::ApproximateBitmap;
+use crate::hybrid::HybridRangePlan;
 use crate::level::AbIndex;
 use crate::query::{Cell, QueryStats};
 use bitmap::RectQuery;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell as StdCell;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::OnceLock;
 
-/// The classic fixed batch depth of the first batched kernel — still
-/// the adaptive model's choice for LLC-resident ABs, and the depth
-/// [`BatchRows::Fixed`] callers use to reproduce PR 4 behavior.
+/// The block size the adaptive model picks for LLC-resident ABs.
 pub const BATCH_ROWS: usize = 64;
 
-/// Upper bound on the per-batch lane count (the adaptive model's pick
-/// for DRAM-resident ABs). The match mask is `MAX_BATCH_ROWS` bits.
+/// Upper bound on the rows of one mask block (the adaptive model's
+/// pick for DRAM-resident ABs).
 pub const MAX_BATCH_ROWS: usize = 256;
 
-/// Lanes resolved by one SIMD gather wave: one AVX-512 gather, two
-/// AVX2 gathers, or four NEON load-pairs.
-pub const SIMD_WAVE: usize = 8;
-
-/// Gathers narrower than this fall back to scalar loads — a masked
-/// gather of 1–3 lanes costs more than the loads it replaces.
-const SIMD_MIN_GATHER: usize = 4;
-
-/// True when this build compiles real prefetch instructions into the
-/// kernel (the `prefetch` feature on a supported target); false means
-/// the portable no-op fallback is in place.
-pub const PREFETCH_ACTIVE: bool = cfg!(all(
-    feature = "prefetch",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
-
-/// True when this build compiles vector gather/load waves into the
-/// kernel (the `simd` feature on x86-64 or aarch64). Whether they
-/// *run* additionally depends on runtime CPU detection — see
-/// [`active_simd_engine`].
-pub const SIMD_COMPILED: bool = cfg!(all(
-    feature = "simd",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
+/// 64-row words in the largest block.
+const MAX_BLOCK_WORDS: usize = MAX_BATCH_ROWS / 64;
 
 /// Which probe engine executes a query. Results are always identical;
-/// only the memory access schedule differs.
+/// only the evaluation order differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelKind {
     /// The reference row-at-a-time loop (Figures 5/7 verbatim).
     Scalar,
-    /// The batched, prefetch-pipelined kernel with scalar bit reads.
+    /// The 64-row mask kernel.
     #[default]
     Batched,
-    /// The batched kernel with vector gather waves; degrades to the
-    /// batched wave loop when no SIMD engine is compiled in/detected.
-    Simd,
 }
 
 impl std::str::FromStr for KernelKind {
@@ -116,9 +71,8 @@ impl std::str::FromStr for KernelKind {
         match s {
             "scalar" => Ok(KernelKind::Scalar),
             "batched" => Ok(KernelKind::Batched),
-            "simd" => Ok(KernelKind::Simd),
             other => Err(format!(
-                "unknown kernel '{other}' (expected scalar|batched|simd)"
+                "unknown kernel '{other}' (expected scalar|batched)"
             )),
         }
     }
@@ -129,20 +83,19 @@ impl std::fmt::Display for KernelKind {
         f.write_str(match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Batched => "batched",
-            KernelKind::Simd => "simd",
         })
     }
 }
 
-/// How deep the kernel's row/cell batches are.
+/// How many rows one mask block covers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BatchRows {
     /// Pick per query from the resolved AB footprint vs the cache
     /// hierarchy ([`CacheModel::batch_rows_for`]).
     #[default]
     Adaptive,
-    /// Force a fixed depth (clamped to `1..=MAX_BATCH_ROWS`). `Fixed(64)`
-    /// reproduces the PR 4 batched kernel exactly.
+    /// A fixed number of rows, rounded up to whole 64-row words and
+    /// capped at [`MAX_BATCH_ROWS`].
     Fixed(usize),
 }
 
@@ -253,14 +206,14 @@ impl std::fmt::Display for HybridMode {
     }
 }
 
-/// Full kernel configuration: which engine, how deep the batches,
+/// Full kernel configuration: which engine, how large the mask blocks,
 /// whether hierarchical pruning runs first, whether the exact tier
 /// answers backed bins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelOpts {
     /// The probe engine.
     pub kernel: KernelKind,
-    /// The batch-depth policy.
+    /// The mask-block policy.
     pub batch_rows: BatchRows,
     /// The hierarchical-pruning policy.
     pub hier: HierMode,
@@ -270,7 +223,7 @@ pub struct KernelOpts {
 }
 
 impl KernelOpts {
-    /// `kernel` with the default (adaptive) batch policy, pruning
+    /// `kernel` with the default (adaptive) block policy, pruning
     /// off, and the exact tier off.
     pub fn new(kernel: KernelKind) -> Self {
         KernelOpts {
@@ -281,7 +234,7 @@ impl KernelOpts {
         }
     }
 
-    /// Overrides the batch-depth policy.
+    /// Overrides the mask-block policy.
     pub fn with_batch_rows(mut self, batch_rows: BatchRows) -> Self {
         self.batch_rows = batch_rows;
         self
@@ -377,13 +330,12 @@ impl CacheModel {
         })
     }
 
-    /// The batch depth for a query whose probes land in
-    /// `resolved_ab_bytes` of AB storage: shallow (16) when the
-    /// working set sits in L2 (loads return in ~15 cycles; deep
-    /// pipelines only add lane bookkeeping), the classic
-    /// [`BATCH_ROWS`] inside the LLC, and [`MAX_BATCH_ROWS`] once
-    /// probes miss to DRAM and every additional independent miss in
-    /// flight directly buys latency overlap.
+    /// The block rows for a query whose probes land in
+    /// `resolved_ab_bytes` of AB storage: 16 when the working set sits
+    /// in L2, [`BATCH_ROWS`] inside the LLC, and [`MAX_BATCH_ROWS`]
+    /// once probes miss to DRAM, where a longer run of independent
+    /// probes on one column keeps more misses in flight. The kernel
+    /// rounds the pick up to whole 64-row words.
     pub fn batch_rows_for(&self, resolved_ab_bytes: u64) -> usize {
         if resolved_ab_bytes <= self.l2_bytes {
             16
@@ -407,7 +359,7 @@ fn parse_cache_size(s: &str) -> Option<u64> {
 }
 
 impl AbIndex {
-    /// The batch depth [`BatchRows::Adaptive`] picks for full-index
+    /// The block rows [`BatchRows::Adaptive`] picks for full-index
     /// queries against this index — the per-index half of the
     /// calibration (the per-query half narrows the footprint to the
     /// ABs a query actually resolves to). Recorded into the
@@ -418,344 +370,6 @@ impl AbIndex {
     }
 }
 
-/// The vector engine resolving gather waves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimdEngine {
-    /// x86-64 AVX2: two 4-lane `vpgatherqq` per wave.
-    Avx2,
-    /// x86-64 AVX-512F: one 8-lane masked gather per wave.
-    Avx512,
-    /// aarch64 NEON: four 2×u64 load-pairs per wave.
-    Neon,
-}
-
-impl std::fmt::Display for SimdEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimdEngine::Avx2 => "avx2",
-            SimdEngine::Avx512 => "avx512",
-            SimdEngine::Neon => "neon",
-        })
-    }
-}
-
-/// The gather engine [`KernelKind::Simd`] queries run on, resolved
-/// once per process: `None` when the `simd` feature is off, the
-/// target has no vector path, or the CPU lacks the instructions —
-/// the kernel then degrades to scalar waves (counted in
-/// `kernel.scalar_waves`).
-///
-/// The env var `AB_SIMD` (`avx512` | `avx2` | `neon` | `off`, read at
-/// first query) can narrow the choice below what the CPU supports —
-/// CI uses it to differentially test every compiled path — but never
-/// widen it past detection.
-pub fn active_simd_engine() -> Option<SimdEngine> {
-    static ENGINE: OnceLock<Option<SimdEngine>> = OnceLock::new();
-    *ENGINE.get_or_init(|| {
-        let forced = std::env::var("AB_SIMD").ok();
-        let best = detect_simd_engine();
-        match (forced.as_deref(), best) {
-            (Some("off"), _) => None,
-            (Some("avx2"), Some(SimdEngine::Avx512)) | (Some("avx2"), Some(SimdEngine::Avx2)) => {
-                Some(SimdEngine::Avx2)
-            }
-            (Some("avx512"), Some(SimdEngine::Avx512)) => Some(SimdEngine::Avx512),
-            (Some("neon"), Some(SimdEngine::Neon)) => Some(SimdEngine::Neon),
-            (Some(_), _) => None, // unknown or unsupported request: scalar waves
-            (None, best) => best,
-        }
-    })
-}
-
-#[allow(unreachable_code)]
-fn detect_simd_engine() -> Option<SimdEngine> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return Some(SimdEngine::Avx512);
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Some(SimdEngine::Avx2);
-        }
-        return None;
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    {
-        // NEON is baseline on aarch64.
-        return Some(SimdEngine::Neon);
-    }
-    None
-}
-
-/// Requests the cache line holding AB bit `pos` ahead of its read.
-#[inline(always)]
-#[allow(unused_variables)]
-fn prefetch(words: &[u64], pos: u64) {
-    #[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
-    // SAFETY: pos < n and words.len() == ceil(n/64), so the word index
-    // is in bounds; prefetch has no architectural side effects anyway.
-    unsafe {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(
-            words.as_ptr().add((pos / 64) as usize) as *const i8,
-            _MM_HINT_T0,
-        );
-    }
-    #[cfg(all(feature = "prefetch", target_arch = "aarch64"))]
-    // SAFETY: in-bounds address as above; prfm is side-effect free.
-    unsafe {
-        let p = words.as_ptr().add((pos / 64) as usize);
-        core::arch::asm!(
-            "prfm pldl1keep, [{0}]",
-            in(reg) p,
-            options(nostack, preserves_flags, readonly)
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Vector gather waves
-// ---------------------------------------------------------------------------
-
-/// Tests the AB bits of one wave: lane `l` reads the u64 at absolute
-/// address `addrs[l]` and tests bit `shifts[l]`; the returned mask has
-/// bit `l` set iff that AB bit is set. Only the low `w` lanes are
-/// read (masked gathers never dereference dead lanes).
-#[cfg_attr(
-    not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
-    allow(unused_variables)
-)]
-fn wave_bits(
-    engine: SimdEngine,
-    addrs: &[u64; SIMD_WAVE],
-    shifts: &[u64; SIMD_WAVE],
-    w: usize,
-) -> u8 {
-    debug_assert!((1..=SIMD_WAVE).contains(&w));
-    match engine {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: runtime dispatch guarantees the target features, and
-        // every live lane's address points at an in-bounds AB word.
-        SimdEngine::Avx2 => unsafe { gather_wave_avx2(addrs, shifts, w) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: as above.
-        SimdEngine::Avx512 => unsafe { gather_wave_avx512(addrs, shifts, w) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        // SAFETY: as above; NEON is baseline on aarch64.
-        SimdEngine::Neon => unsafe { gather_wave_neon(addrs, shifts, w) },
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("SIMD engine not compiled into this build"),
-    }
-}
-
-/// AVX2 wave: two masked 4-lane `vpgatherqq` against a null base with
-/// the lanes' absolute addresses as byte offsets (scale 1), then a
-/// variable right shift + mask to extract the probed bits.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available and `addrs[..w]` are valid,
-/// aligned-for-u64 readable addresses.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_wave_avx2(addrs: &[u64; SIMD_WAVE], shifts: &[u64; SIMD_WAVE], w: usize) -> u8 {
-    use core::arch::x86_64::*;
-    // Lane-enable masks for 0..=4 live lanes (gather reads where the
-    // element's sign bit is set).
-    const LANE_MASKS: [[i64; 4]; 5] = [
-        [0, 0, 0, 0],
-        [-1, 0, 0, 0],
-        [-1, -1, 0, 0],
-        [-1, -1, -1, 0],
-        [-1, -1, -1, -1],
-    ];
-    let ones = _mm256_set1_epi64x(1);
-    let mut out = 0u8;
-    let mut lane = 0usize;
-    while lane < w {
-        let cnt = (w - lane).min(4);
-        let idx = _mm256_loadu_si256(addrs.as_ptr().add(lane) as *const __m256i);
-        let mask = _mm256_loadu_si256(LANE_MASKS[cnt].as_ptr() as *const __m256i);
-        let words =
-            _mm256_mask_i64gather_epi64::<1>(_mm256_setzero_si256(), core::ptr::null(), idx, mask);
-        let sh = _mm256_loadu_si256(shifts.as_ptr().add(lane) as *const __m256i);
-        let bits = _mm256_and_si256(_mm256_srlv_epi64(words, sh), ones);
-        let hit = _mm256_cmpeq_epi64(bits, ones);
-        let m = _mm256_movemask_pd(_mm256_castsi256_pd(hit)) as u32;
-        out |= ((m & ((1u32 << cnt) - 1)) as u8) << lane;
-        lane += cnt;
-    }
-    out
-}
-
-/// AVX-512F wave: one masked 8-lane gather (absolute addresses, scale
-/// 1), vector shift, and a compare-to-mask — the probed bits land
-/// directly in a `__mmask8`.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and `addrs[..w]` are
-/// valid, aligned-for-u64 readable addresses.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn gather_wave_avx512(addrs: &[u64; SIMD_WAVE], shifts: &[u64; SIMD_WAVE], w: usize) -> u8 {
-    use core::arch::x86_64::*;
-    let kmask = ((1u16 << w) - 1) as __mmask8;
-    let idx = _mm512_loadu_si512(addrs.as_ptr() as *const __m512i);
-    let words =
-        _mm512_mask_i64gather_epi64::<1>(_mm512_setzero_si512(), kmask, idx, core::ptr::null());
-    let sh = _mm512_loadu_si512(shifts.as_ptr() as *const __m512i);
-    let ones = _mm512_set1_epi64(1);
-    let bits = _mm512_and_epi64(_mm512_srlv_epi64(words, sh), ones);
-    _mm512_mask_cmpeq_epi64_mask(kmask, bits, ones)
-}
-
-/// NEON wave: four 2×u64 load-pairs (no gather on NEON), vector
-/// variable shift (negative left-shift counts shift right), mask, and
-/// per-lane extraction.
-///
-/// # Safety
-///
-/// Caller must ensure `addrs[..w]` are valid, aligned-for-u64
-/// readable addresses.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-unsafe fn gather_wave_neon(addrs: &[u64; SIMD_WAVE], shifts: &[u64; SIMD_WAVE], w: usize) -> u8 {
-    use core::arch::aarch64::*;
-    let mut out = 0u8;
-    let mut lane = 0usize;
-    while lane + 2 <= w {
-        let words = vcombine_u64(
-            vld1_u64(addrs[lane] as *const u64),
-            vld1_u64(addrs[lane + 1] as *const u64),
-        );
-        let negsh = vcombine_s64(
-            vdup_n_s64(-(shifts[lane] as i64)),
-            vdup_n_s64(-(shifts[lane + 1] as i64)),
-        );
-        let bits = vandq_u64(vshlq_u64(words, negsh), vdupq_n_u64(1));
-        out |= (vgetq_lane_u64::<0>(bits) as u8) << lane;
-        out |= (vgetq_lane_u64::<1>(bits) as u8) << (lane + 1);
-        lane += 2;
-    }
-    if lane < w {
-        let word = core::ptr::read(addrs[lane] as *const u64);
-        out |= (((word >> shifts[lane]) & 1) as u8) << lane;
-    }
-    out
-}
-
-/// Gathers whole u64 words: lane `l` of `out` receives the word at
-/// absolute address `addrs[l]` for the low `w` lanes (dead lanes are
-/// left untouched and never dereferenced). The raw-word sibling of
-/// [`wave_bits`] for callers that test multi-bit masks per word (the
-/// blocked AB's two-word test) instead of single bits. Falls back to
-/// scalar loads when no SIMD engine is active.
-#[inline]
-pub(crate) fn gather_words(
-    engine: Option<SimdEngine>,
-    addrs: &[u64; SIMD_WAVE],
-    w: usize,
-    out: &mut [u64; SIMD_WAVE],
-) {
-    debug_assert!((1..=SIMD_WAVE).contains(&w));
-    match engine {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: runtime dispatch guarantees the target features, and
-        // every live lane's address points at an in-bounds AB word.
-        Some(SimdEngine::Avx2) => unsafe { gather_words_avx2(addrs, w, out) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: as above.
-        Some(SimdEngine::Avx512) => unsafe { gather_words_avx512(addrs, w, out) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        // SAFETY: as above; NEON is baseline on aarch64.
-        Some(SimdEngine::Neon) => unsafe { gather_words_neon(addrs, w, out) },
-        _ => {
-            for lane in 0..w {
-                // SAFETY: the caller derived addrs[lane] from an
-                // in-bounds AB word pointer.
-                out[lane] = unsafe { core::ptr::read(addrs[lane] as *const u64) };
-            }
-        }
-    }
-}
-
-/// AVX2 raw-word gather: two masked 4-lane `vpgatherqq` (absolute
-/// addresses, scale 1) stored straight to `out`.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available and `addrs[..w]` are valid,
-/// aligned-for-u64 readable addresses.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_words_avx2(addrs: &[u64; SIMD_WAVE], w: usize, out: &mut [u64; SIMD_WAVE]) {
-    use core::arch::x86_64::*;
-    const LANE_MASKS: [[i64; 4]; 5] = [
-        [0, 0, 0, 0],
-        [-1, 0, 0, 0],
-        [-1, -1, 0, 0],
-        [-1, -1, -1, 0],
-        [-1, -1, -1, -1],
-    ];
-    let mut lane = 0usize;
-    while lane < w {
-        let cnt = (w - lane).min(4);
-        let idx = _mm256_loadu_si256(addrs.as_ptr().add(lane) as *const __m256i);
-        let mask = _mm256_loadu_si256(LANE_MASKS[cnt].as_ptr() as *const __m256i);
-        let words =
-            _mm256_mask_i64gather_epi64::<1>(_mm256_setzero_si256(), core::ptr::null(), idx, mask);
-        let mut tmp = [0u64; 4];
-        _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, words);
-        out[lane..lane + cnt].copy_from_slice(&tmp[..cnt]);
-        lane += cnt;
-    }
-}
-
-/// AVX-512F raw-word gather: one masked 8-lane gather stored to `out`.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and `addrs[..w]` are
-/// valid, aligned-for-u64 readable addresses.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn gather_words_avx512(addrs: &[u64; SIMD_WAVE], w: usize, out: &mut [u64; SIMD_WAVE]) {
-    use core::arch::x86_64::*;
-    let kmask = ((1u16 << w) - 1) as __mmask8;
-    let idx = _mm512_loadu_si512(addrs.as_ptr() as *const __m512i);
-    let words =
-        _mm512_mask_i64gather_epi64::<1>(_mm512_setzero_si512(), kmask, idx, core::ptr::null());
-    _mm512_mask_storeu_epi64(out.as_mut_ptr() as *mut i64, kmask, words);
-}
-
-/// NEON raw-word gather: per-lane load pairs (no gather on NEON).
-///
-/// # Safety
-///
-/// Caller must ensure `addrs[..w]` are valid, aligned-for-u64
-/// readable addresses.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-unsafe fn gather_words_neon(addrs: &[u64; SIMD_WAVE], w: usize, out: &mut [u64; SIMD_WAVE]) {
-    use core::arch::aarch64::*;
-    let mut lane = 0usize;
-    while lane + 2 <= w {
-        let words = vcombine_u64(
-            vld1_u64(addrs[lane] as *const u64),
-            vld1_u64(addrs[lane + 1] as *const u64),
-        );
-        out[lane] = vgetq_lane_u64::<0>(words);
-        out[lane + 1] = vgetq_lane_u64::<1>(words);
-        lane += 2;
-    }
-    if lane < w {
-        out[lane] = core::ptr::read(addrs[lane] as *const u64);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared plan / lane machinery
-// ---------------------------------------------------------------------------
-
 /// The hoisted, row-independent state for one (attribute, bin) column
 /// of a query: raw AB words, k, and the reusable hash prober.
 struct CellPlan<'a> {
@@ -763,9 +377,9 @@ struct CellPlan<'a> {
     k: u32,
     prober: hashkit::ColProber<'a>,
     /// Hash positions computed against this plan, flushed once per
-    /// query into `hashkit.hash_calls.*` (the scalar `Prober` flushes
-    /// per cell on drop; batching amortizes that to one atomic op).
-    calls: StdCell<u64>,
+    /// query into `hashkit.hash_calls.*` so the probe loop stays
+    /// atomics-free.
+    calls: u64,
 }
 
 impl<'a> CellPlan<'a> {
@@ -774,204 +388,51 @@ impl<'a> CellPlan<'a> {
             words: ab.bits().words(),
             k: ab.k() as u32,
             prober: ab.family().col_prober(col, ab.mapper(), ab.n_bits()),
-            calls: StdCell::new(0),
+            calls: 0,
         }
     }
 
-    /// Reads one AB bit (the word was prefetched one wave earlier).
+    /// Figure 5 for one cell: reads up to k bits, breaking at the first
+    /// zero bit, and adds the bits read to `bits_read`.
     #[inline(always)]
-    fn bit(&self, pos: u64) -> bool {
-        (self.words[(pos / 64) as usize] >> (pos % 64)) & 1 == 1
-    }
-
-    /// The absolute byte address of the word holding bit `pos` — the
-    /// gather operand. Always in bounds (`pos < n`).
-    #[inline(always)]
-    fn word_addr(&self, pos: u64) -> u64 {
-        self.words.as_ptr().wrapping_add((pos / 64) as usize) as u64
-    }
-
-    /// Computes (and prefetches) the next probe position for `probe`.
-    #[inline(always)]
-    fn issue(&self, probe: &mut hashkit::RowProbe) -> u64 {
-        let pos = self.prober.next_position(probe);
-        self.calls.set(self.calls.get() + 1);
-        prefetch(self.words, pos);
-        pos
-    }
-
-    /// Batch form of [`Self::issue`] for opening a wave of lanes on
-    /// the same plan: positions come from the vector-friendly
-    /// [`hashkit::ColProber::next_positions`] (identical sequence),
-    /// the call count is bumped once, and every position's word is
-    /// prefetched.
-    fn issue_batch(&self, probes: &mut [hashkit::RowProbe], out: &mut [u64]) {
-        self.prober.next_positions(probes, out);
-        self.calls.set(self.calls.get() + probes.len() as u64);
-        for &pos in out.iter().take(probes.len()) {
-            prefetch(self.words, pos);
-        }
-    }
-}
-
-/// Per-query wave accounting, flushed into obs once at the end so the
-/// probe loops stay atomics-free.
-#[derive(Default)]
-struct WaveCounters {
-    batches: u64,
-    simd_waves: u64,
-    scalar_waves: u64,
-}
-
-impl WaveCounters {
-    /// `prefetched_positions` is the number of probe positions the
-    /// query issued; each issued position executes exactly one
-    /// prefetch instruction — but only on builds where the prefetch
-    /// is compiled in. On no-op fallback builds (`prefetch` feature
-    /// off, or an unsupported target) nothing is added, so
-    /// `kernel.prefetches` never reports phantom prefetches.
-    fn flush(self, prefetched_positions: u64) {
-        obs::counter!("kernel.batches").add(self.batches);
-        if self.simd_waves > 0 {
-            obs::counter!("kernel.simd_waves").add(self.simd_waves);
-        }
-        if self.scalar_waves > 0 {
-            obs::counter!("kernel.scalar_waves").add(self.scalar_waves);
-        }
-        if PREFETCH_ACTIVE {
-            obs::counter!("kernel.prefetches").add(prefetched_positions);
-        }
-    }
-}
-
-/// Ascending-order match mask over one batch's slots (up to
-/// [`MAX_BATCH_ROWS`] bits).
-#[derive(Default)]
-struct MatchMask([u64; MAX_BATCH_ROWS / 64]);
-
-impl MatchMask {
-    #[inline(always)]
-    fn set(&mut self, slot: u32) {
-        self.0[slot as usize / 64] |= 1u64 << (slot % 64);
-    }
-
-    /// Pushes `base + slot` for every set slot, in ascending slot
-    /// order — restoring row order regardless of lane retire order.
-    fn drain_into(&mut self, rows: &mut Vec<usize>, base: usize) {
-        for (w, word) in self.0.iter_mut().enumerate() {
-            let mut m = *word;
-            while m != 0 {
-                rows.push(base + w * 64 + m.trailing_zeros() as usize);
-                m &= m - 1;
+    fn test(&mut self, row: u64, bits_read: &mut usize) -> bool {
+        let mut probe = self.prober.begin(row);
+        let mut read = 0u32;
+        let hit = loop {
+            if read == self.k {
+                break true;
             }
-            *word = 0;
-        }
+            let pos = self.prober.next_position(&mut probe);
+            read += 1;
+            if (self.words[(pos / 64) as usize] >> (pos % 64)) & 1 == 0 {
+                break false;
+            }
+        };
+        self.calls += u64::from(read);
+        *bits_read += read as usize;
+        hit
+    }
+
+    fn flush(&self) {
+        self.prober.record_hash_calls(self.calls);
     }
 }
 
-/// One in-flight row of a rect-query batch: where it is in the Figure 7
-/// evaluation (range, bin, probe index) and its one outstanding probe.
-struct Lane {
-    row: u64,
-    slot: u32,
-    range: u32,
-    bin: u32,
-    /// Bits read for the current cell so far (< k; the cell resolves at
-    /// the first zero bit or at the k-th one bit).
-    t: u32,
-    /// The already-issued (and prefetched) probe position.
-    pos: u64,
-    probe: hashkit::RowProbe,
-}
-
-impl Lane {
-    /// Starts the probe sequence of cell (range, bin) for this lane's
-    /// row. Mirrors the scalar path's `cells_probed += 1` placement:
-    /// the counter moves *before* any bit is read.
-    #[inline]
-    fn start_cell(&mut self, plans: &[Vec<CellPlan>], stats: &mut QueryStats) {
-        let plan = &plans[self.range as usize][self.bin as usize];
-        stats.cells_probed += 1;
-        self.t = 0;
-        let mut probe = plan.prober.begin(self.row);
-        self.pos = plan.issue(&mut probe);
-        self.probe = probe;
-    }
-}
-
-/// What the Figure 7 state transition did with a lane.
-enum LaneFate {
-    /// The lane has a new probe in flight.
-    Live,
-    /// Every range was satisfied: the row is an (approximate) match.
-    Matched,
-    /// A range was exhausted with no hit: the row is out.
-    Dead,
-}
-
-/// Applies one bit's worth of the Figure 7 evaluation to `lane`,
-/// identical for the scalar-wave and SIMD-wave loops (and, in
-/// observable effect, to the row-at-a-time reference loop): OR
-/// short-circuit on the k-th set bit, AND short-circuit on the last
-/// exhausted bin, per-cell break on the first zero bit.
-#[inline(always)]
-fn advance_lane(
-    lane: &mut Lane,
-    plans: &[Vec<CellPlan>],
-    num_ranges: usize,
-    stats: &mut QueryStats,
-    short_circuits: &mut u64,
-    hit: bool,
-) -> LaneFate {
-    let range_plans = &plans[lane.range as usize];
-    let plan = &range_plans[lane.bin as usize];
-    stats.bits_read += 1;
-    lane.t += 1;
-    if hit {
-        if lane.t < plan.k {
-            // Bit set, cell undecided: issue the next probe.
-            lane.pos = plan.issue(&mut lane.probe);
-            return LaneFate::Live;
-        }
-        // All k bits set: the cell is (approximately) present —
-        // Figure 7's OR short-circuit.
-        *short_circuits += u64::from((lane.bin as usize) < range_plans.len() - 1);
-        lane.range += 1;
-        lane.bin = 0;
-        if lane.range as usize == num_ranges {
-            return LaneFate::Matched;
-        }
-        if plans[lane.range as usize].is_empty() {
-            return LaneFate::Dead; // degenerate range: row fails
-        }
-        lane.start_cell(plans, stats);
-        LaneFate::Live
-    } else {
-        // Zero bit: cell definitely absent (Figure 5 break).
-        lane.bin += 1;
-        if lane.bin as usize == range_plans.len() {
-            // Range exhausted with no hit: Figure 7's AND
-            // short-circuit — the row is out.
-            return LaneFate::Dead;
-        }
-        lane.start_cell(plans, stats);
-        LaneFate::Live
-    }
-}
-
-/// Resolves the batch-depth policy against a resolved AB footprint and
-/// records the decision in the `kernel.batch_rows` histogram.
-fn choose_batch_rows(batch_rows: BatchRows, resolved_ab_bytes: u64) -> usize {
+/// Resolves the block policy against a resolved AB footprint into
+/// 64-row words, and records the block size in the `kernel.batch_rows`
+/// histogram.
+fn block_words(batch_rows: BatchRows, resolved_ab_bytes: u64) -> usize {
     let rows = match batch_rows {
-        BatchRows::Fixed(n) => n.clamp(1, MAX_BATCH_ROWS),
+        BatchRows::Fixed(n) => n,
         BatchRows::Adaptive => CacheModel::get().batch_rows_for(resolved_ab_bytes),
     };
-    obs::histogram!("kernel.batch_rows").record(rows as u64);
-    rows
+    let words = rows.div_ceil(64).clamp(1, MAX_BLOCK_WORDS);
+    obs::histogram!("kernel.batch_rows").record((words * 64) as u64);
+    words
 }
 
 /// Total bytes of the *distinct* ABs a query's plans resolve to — the
-/// probe working set the adaptive batch model sizes against (several
+/// probe working set the adaptive block model sizes against (several
 /// plans of a per-attribute or per-dataset index share one AB).
 fn resolved_plan_bytes(plans: &[Vec<CellPlan>]) -> u64 {
     let mut seen: Vec<*const u64> = Vec::new();
@@ -986,21 +447,36 @@ fn resolved_plan_bytes(plans: &[Vec<CellPlan>]) -> u64 {
     bytes
 }
 
+/// Pushes `base + i` for every set bit `i` of `words`, ascending.
+fn drain_rows(words: &[u64], base: usize, rows: &mut Vec<usize>) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut m = word;
+        while m != 0 {
+            rows.push(base + w * 64 + m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Figure 7: rectangular queries
 // ---------------------------------------------------------------------------
 
-/// Figure 7 over row batches: bit-identical results and [`QueryStats`]
-/// to the scalar loop in `query.rs`, with up to the batch depth's
-/// probe latencies overlapped (and, on the SIMD engine, the wave's AB
-/// words fetched by vector gathers). Returns
+/// Figure 7 over 64-row mask blocks: bit-identical rows and
+/// [`QueryStats`] to the scalar loop in `query.rs`. Returns
 /// `(rows, stats, or_short_circuits)`.
 ///
+/// With `hybrid`, range `r` probes only `hybrid[r].unbacked` and seeds
+/// its `hit` words from `hybrid[r].exact`; `hybrid[r].flat` feeds the
+/// flat-AB shadow behind `fp_rows_eliminated`. The masks are relative
+/// to `query.row_lo` (see [`crate::hybrid::HybridAb::plan_range`]).
+///
 /// The caller has already validated row and bin bounds.
-pub(crate) fn execute_rect_waves(
+pub(crate) fn execute_rect_masks(
     index: &AbIndex,
     query: &RectQuery,
     opts: KernelOpts,
+    hybrid: Option<&[HybridRangePlan]>,
 ) -> (Vec<usize>, QueryStats, u64) {
     let mut rows = Vec::new();
     let mut stats = QueryStats::default();
@@ -1015,271 +491,115 @@ pub(crate) fn execute_rect_waves(
         stats.rows_matched = rows.len();
         return (rows, stats, 0);
     }
-    // Hash hoisting: one plan per (attribute, bin) the query can touch,
+    // Hash hoisting: one plan per (attribute, bin) the query probes,
     // shared by every row.
-    let plans: Vec<Vec<CellPlan>> = query
+    let mut plans: Vec<Vec<CellPlan>> = query
         .ranges
         .iter()
-        .map(|r| {
-            (r.lo..=r.hi)
-                .map(|bin| {
-                    let (ab, col) = index.cell_plan_target(r.attribute, bin);
-                    CellPlan::new(ab, col)
-                })
-                .collect()
+        .enumerate()
+        .map(|(i, r)| {
+            let plan = |bin: u32| {
+                let (ab, col) = index.cell_plan_target(r.attribute, bin);
+                CellPlan::new(ab, col)
+            };
+            match hybrid {
+                Some(hy) => hy[i].unbacked.iter().map(|&bin| plan(bin)).collect(),
+                None => (r.lo..=r.hi).map(plan).collect(),
+            }
         })
         .collect();
-    let batch_rows = choose_batch_rows(opts.batch_rows, resolved_plan_bytes(&plans));
-    let engine = match opts.kernel {
-        KernelKind::Simd => active_simd_engine(),
-        _ => None,
-    };
-    let num_ranges = plans.len();
-    let mut lanes: Vec<Lane> = Vec::with_capacity(batch_rows);
-    let mut probes: Vec<hashkit::RowProbe> = Vec::with_capacity(batch_rows);
-    let mut wave = WaveCounters::default();
-    let mut matched = MatchMask::default();
-    let mut base = query.row_lo;
-    loop {
-        let batch_len = (query.row_hi - base + 1).min(batch_rows);
-        wave.batches += 1;
-        lanes.clear();
-        if plans[0].is_empty() {
-            // Degenerate first range (lo > hi): no row can match and,
-            // like the scalar loop, no probe is issued.
-        } else {
-            open_lanes(base, batch_len, &plans, &mut stats, &mut probes, &mut lanes);
+    let words = block_words(opts.batch_rows, resolved_plan_bytes(&plans));
+    let span = query.row_hi - query.row_lo + 1;
+    let mut blocks = 0u64;
+    for first in (0..span).step_by(words * 64) {
+        blocks += 1;
+        let len = (span - first).min(words * 64);
+        let nw = len.div_ceil(64);
+        let w0 = first / 64;
+        let base = query.row_lo + first;
+        // `alive`: rows the flat AB still admits. `hyb`: rows the
+        // exact tier still admits (equal to `alive` without a tier).
+        let mut alive = [0u64; MAX_BLOCK_WORDS];
+        for (w, a) in alive[..nw].iter_mut().enumerate() {
+            let bits = (len - w * 64).min(64);
+            *a = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
         }
-        match engine {
-            None => run_scalar_waves(
-                &plans,
-                num_ranges,
-                &mut lanes,
-                &mut stats,
-                &mut short_circuits,
-                &mut matched,
-                &mut wave,
-            ),
-            Some(e) => run_simd_waves(
-                e,
-                &plans,
-                num_ranges,
-                &mut lanes,
-                &mut stats,
-                &mut short_circuits,
-                &mut matched,
-                &mut wave,
-            ),
+        let mut hyb = alive;
+        for (r, range_plans) in plans.iter_mut().enumerate() {
+            let mut hit = [0u64; MAX_BLOCK_WORDS];
+            let mut flat = [0u64; MAX_BLOCK_WORDS];
+            if let Some(hy) = hybrid {
+                hit[..nw].copy_from_slice(&hy[r].exact[w0..w0 + nw]);
+                flat[..nw].copy_from_slice(&hy[r].flat[w0..w0 + nw]);
+            }
+            let last = range_plans.len().saturating_sub(1);
+            for (b, plan) in range_plans.iter_mut().enumerate() {
+                let mut pending = 0u64;
+                for w in 0..nw {
+                    let mut cand = alive[w] & !hit[w];
+                    pending |= cand;
+                    while cand != 0 {
+                        let i = cand.trailing_zeros();
+                        cand &= cand - 1;
+                        stats.cells_probed += 1;
+                        let row = (base + w * 64) as u64 + u64::from(i);
+                        if plan.test(row, &mut stats.bits_read) {
+                            hit[w] |= 1 << i;
+                            short_circuits += u64::from(b < last);
+                        }
+                    }
+                }
+                if pending == 0 {
+                    break;
+                }
+            }
+            let mut any = 0u64;
+            for w in 0..nw {
+                hyb[w] &= hit[w];
+                alive[w] &= hit[w] | flat[w];
+                any |= alive[w];
+            }
+            if any == 0 {
+                break;
+            }
         }
-        matched.drain_into(&mut rows, base);
-        if query.row_hi - base < batch_rows {
-            break;
+        for w in 0..nw {
+            stats.fp_rows_eliminated += u64::from((alive[w] & !hyb[w]).count_ones());
         }
-        base += batch_len;
+        drain_rows(&hyb[..nw], base, &mut rows);
     }
     stats.rows_matched = rows.len();
     for plan in plans.iter().flatten() {
-        plan.prober.record_hash_calls(plan.calls.get());
+        plan.flush();
     }
-    // Every issued position is read exactly once, so the number of
-    // (potentially prefetched) positions equals bits_read.
-    wave.flush(stats.bits_read as u64);
+    obs::counter!("kernel.batches").add(blocks);
     (rows, stats, short_circuits)
-}
-
-/// Opens one batch's lanes on their rows' first cell (range 0, bin 0):
-/// all first-probe positions come from one vector-friendly
-/// `CellPlan::issue_batch` call against the shared plan.
-fn open_lanes(
-    base: usize,
-    batch_len: usize,
-    plans: &[Vec<CellPlan>],
-    stats: &mut QueryStats,
-    probes: &mut Vec<hashkit::RowProbe>,
-    lanes: &mut Vec<Lane>,
-) {
-    let plan = &plans[0][0];
-    stats.cells_probed += batch_len;
-    probes.clear();
-    probes.extend((0..batch_len).map(|slot| plan.prober.begin((base + slot) as u64)));
-    let mut first = [0u64; MAX_BATCH_ROWS];
-    plan.issue_batch(probes, &mut first[..batch_len]);
-    for (slot, probe) in probes.drain(..).enumerate() {
-        lanes.push(Lane {
-            row: (base + slot) as u64,
-            slot: slot as u32,
-            range: 0,
-            bin: 0,
-            t: 0,
-            pos: first[slot],
-            probe,
-        });
-    }
-}
-
-/// Breadth-first resolution with scalar bit reads: each pass tests one
-/// (prefetched) bit per live lane, so the batch keeps up to
-/// `lanes.len()` independent loads in flight.
-#[allow(clippy::too_many_arguments)]
-fn run_scalar_waves(
-    plans: &[Vec<CellPlan>],
-    num_ranges: usize,
-    lanes: &mut Vec<Lane>,
-    stats: &mut QueryStats,
-    short_circuits: &mut u64,
-    matched: &mut MatchMask,
-    wave: &mut WaveCounters,
-) {
-    while !lanes.is_empty() {
-        wave.scalar_waves += 1;
-        let mut i = 0;
-        while i < lanes.len() {
-            let lane = &mut lanes[i];
-            let hit = plans[lane.range as usize][lane.bin as usize].bit(lane.pos);
-            match advance_lane(lane, plans, num_ranges, stats, short_circuits, hit) {
-                LaneFate::Live => i += 1,
-                LaneFate::Matched => {
-                    matched.set(lanes[i].slot);
-                    lanes.swap_remove(i);
-                }
-                LaneFate::Dead => {
-                    lanes.swap_remove(i);
-                }
-            }
-        }
-    }
-}
-
-/// Breadth-first resolution with vector gather waves: phase 1 fetches
-/// every live lane's AB word in [`SIMD_WAVE`]-lane gathers and tests
-/// the probed bits with vector shifts; phase 2 applies the identical
-/// per-lane Figure 7 transitions. Tails narrower than
-/// [`SIMD_MIN_GATHER`] use scalar loads (counted as scalar waves).
-#[allow(clippy::too_many_arguments)]
-fn run_simd_waves(
-    engine: SimdEngine,
-    plans: &[Vec<CellPlan>],
-    num_ranges: usize,
-    lanes: &mut Vec<Lane>,
-    stats: &mut QueryStats,
-    short_circuits: &mut u64,
-    matched: &mut MatchMask,
-    wave: &mut WaveCounters,
-) {
-    let mut bits = [false; MAX_BATCH_ROWS];
-    while !lanes.is_empty() {
-        let n = lanes.len();
-        // Phase 1: resolve the current bit of every live lane.
-        let mut j = 0usize;
-        while j < n {
-            let w = (n - j).min(SIMD_WAVE);
-            if w >= SIMD_MIN_GATHER {
-                let mut addrs = [0u64; SIMD_WAVE];
-                let mut shifts = [0u64; SIMD_WAVE];
-                for l in 0..w {
-                    let lane = &lanes[j + l];
-                    let plan = &plans[lane.range as usize][lane.bin as usize];
-                    addrs[l] = plan.word_addr(lane.pos);
-                    shifts[l] = lane.pos % 64;
-                }
-                let mask = wave_bits(engine, &addrs, &shifts, w);
-                for l in 0..w {
-                    bits[j + l] = mask & (1 << l) != 0;
-                }
-                wave.simd_waves += 1;
-            } else {
-                for l in 0..w {
-                    let lane = &lanes[j + l];
-                    bits[j + l] = plans[lane.range as usize][lane.bin as usize].bit(lane.pos);
-                }
-                wave.scalar_waves += 1;
-            }
-            j += w;
-        }
-        // Phase 2: per-lane transitions, bit-identical to the scalar
-        // wave. Iterating downward keeps the bits[i] ↔ lanes[i]
-        // correspondence intact across swap_removes (the swapped-in
-        // lane always comes from an already-processed index).
-        for i in (0..n).rev() {
-            let hit = bits[i];
-            let lane = &mut lanes[i];
-            match advance_lane(lane, plans, num_ranges, stats, short_circuits, hit) {
-                LaneFate::Live => {}
-                LaneFate::Matched => {
-                    matched.set(lanes[i].slot);
-                    lanes.swap_remove(i);
-                }
-                LaneFate::Dead => {
-                    lanes.swap_remove(i);
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Figure 5: cell-subset queries
 // ---------------------------------------------------------------------------
 
-/// One in-flight cell of a Figure 5 subset query. Plans are hoisted
-/// per chunk and shared between lanes probing the same (attribute,
-/// bin), so the lane holds an index instead of owning its plan.
-struct CellLane {
-    idx: usize,
-    plan: u32,
-    probe: hashkit::RowProbe,
-    pos: u64,
-    t: u32,
-}
-
-/// Applies one bit's worth of the Figure 5 evaluation: `Some(verdict)`
-/// retires the lane (first zero bit → definite miss; k-th set bit →
-/// approximate hit), `None` leaves its next probe in flight.
-#[inline(always)]
-fn advance_cell_lane(lane: &mut CellLane, plans: &[CellPlan], hit: bool) -> Option<bool> {
-    lane.t += 1;
-    if !hit {
-        return Some(false);
-    }
-    let plan = &plans[lane.plan as usize];
-    if lane.t == plan.k {
-        return Some(true);
-    }
-    lane.pos = plan.issue(&mut lane.probe);
-    None
-}
-
-/// Figure 5 over cell batches: identical verdicts (in query order) to
-/// the scalar `test_cell` loop, with batched latency overlap and
-/// per-chunk `CellPlan` hoisting — repeated (attribute, bin) pairs
-/// within a chunk share one hoisted hash state, the same win rect
-/// queries get from per-query plans (counted in
-/// `kernel.cell_plans_deduped`).
+/// Figure 5 over cell blocks: identical verdicts (in query order) to
+/// the scalar `test_cell` loop, with per-block `CellPlan` hoisting —
+/// repeated (attribute, bin) pairs within a block share one hoisted
+/// hash state (counted in `kernel.cell_plans_deduped`).
 ///
 /// # Panics
 ///
 /// Panics on out-of-range rows or bins, with the same messages as
 /// [`AbIndex::test_cell_counted`].
-pub(crate) fn retrieve_cells_waves(index: &AbIndex, cells: &[Cell], opts: KernelOpts) -> Vec<bool> {
-    let mut out = vec![false; cells.len()];
-    let batch_rows = choose_batch_rows(opts.batch_rows, index.size_bytes() as u64);
-    let engine = match opts.kernel {
-        KernelKind::Simd => active_simd_engine(),
-        _ => None,
-    };
-    let mut wave = WaveCounters::default();
-    let mut issued_positions = 0u64;
+pub(crate) fn retrieve_cells_masks(index: &AbIndex, cells: &[Cell], opts: KernelOpts) -> Vec<bool> {
+    let block = block_words(opts.batch_rows, index.size_bytes() as u64) * 64;
+    let mut out = Vec::with_capacity(cells.len());
     let mut deduped = 0u64;
-    let mut bits = [false; MAX_BATCH_ROWS];
-    for (chunk_idx, chunk) in cells.chunks(batch_rows).enumerate() {
-        wave.batches += 1;
-        // Plan hoisting: one CellPlan per distinct (attribute, bin) in
-        // the chunk.
-        let mut plan_ids: std::collections::HashMap<(usize, u32), u32> =
-            std::collections::HashMap::with_capacity(chunk.len());
-        let mut plans: Vec<CellPlan> = Vec::new();
-        let mut lanes: Vec<CellLane> = Vec::with_capacity(chunk.len());
-        for (j, c) in chunk.iter().enumerate() {
+    let mut bits_read = 0usize;
+    let mut plan_ids: HashMap<(usize, u32), usize> = HashMap::new();
+    let mut plans: Vec<CellPlan> = Vec::new();
+    for chunk in cells.chunks(block) {
+        plan_ids.clear();
+        plans.clear();
+        for c in chunk {
             let meta = &index.attributes()[c.attribute];
             assert!(
                 c.bin < meta.cardinality,
@@ -1294,100 +614,26 @@ pub(crate) fn retrieve_cells_waves(index: &AbIndex, cells: &[Cell], opts: Kernel
                 index.num_rows()
             );
             let pid = match plan_ids.entry((c.attribute, c.bin)) {
-                std::collections::hash_map::Entry::Occupied(e) => {
+                Entry::Occupied(e) => {
                     deduped += 1;
                     *e.get()
                 }
-                std::collections::hash_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     let (ab, col) = index.cell_plan_target(c.attribute, c.bin);
                     plans.push(CellPlan::new(ab, col));
-                    *v.insert((plans.len() - 1) as u32)
+                    *v.insert(plans.len() - 1)
                 }
             };
-            let plan = &plans[pid as usize];
-            let mut probe = plan.prober.begin(c.row as u64);
-            let pos = plan.issue(&mut probe);
-            lanes.push(CellLane {
-                idx: chunk_idx * batch_rows + j,
-                plan: pid,
-                probe,
-                pos,
-                t: 0,
-            });
+            out.push(plans[pid].test(c.row as u64, &mut bits_read));
         }
-        match engine {
-            None => {
-                while !lanes.is_empty() {
-                    wave.scalar_waves += 1;
-                    let mut i = 0;
-                    while i < lanes.len() {
-                        let lane = &mut lanes[i];
-                        let hit = plans[lane.plan as usize].bit(lane.pos);
-                        match advance_cell_lane(lane, &plans, hit) {
-                            None => i += 1,
-                            Some(verdict) => {
-                                out[lanes[i].idx] = verdict;
-                                lanes.swap_remove(i);
-                            }
-                        }
-                    }
-                }
-            }
-            Some(e) => {
-                while !lanes.is_empty() {
-                    let n = lanes.len();
-                    let mut j = 0usize;
-                    while j < n {
-                        let w = (n - j).min(SIMD_WAVE);
-                        if w >= SIMD_MIN_GATHER {
-                            let mut addrs = [0u64; SIMD_WAVE];
-                            let mut shifts = [0u64; SIMD_WAVE];
-                            for l in 0..w {
-                                let lane = &lanes[j + l];
-                                addrs[l] = plans[lane.plan as usize].word_addr(lane.pos);
-                                shifts[l] = lane.pos % 64;
-                            }
-                            let mask = wave_bits(e, &addrs, &shifts, w);
-                            for l in 0..w {
-                                bits[j + l] = mask & (1 << l) != 0;
-                            }
-                            wave.simd_waves += 1;
-                        } else {
-                            for l in 0..w {
-                                let lane = &lanes[j + l];
-                                bits[j + l] = plans[lane.plan as usize].bit(lane.pos);
-                            }
-                            wave.scalar_waves += 1;
-                        }
-                        j += w;
-                    }
-                    for i in (0..n).rev() {
-                        let hit = bits[i];
-                        let lane = &mut lanes[i];
-                        match advance_cell_lane(lane, &plans, hit) {
-                            None => {}
-                            Some(verdict) => {
-                                out[lanes[i].idx] = verdict;
-                                lanes.swap_remove(i);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // One flush per hoisted plan (not per lane): totals match the
-        // per-cell scalar path, and — with shared plans — counting
-        // each plan once is what keeps the issued-position count (and
-        // hence `kernel.prefetches`) free of double counting.
         for plan in &plans {
-            issued_positions += plan.calls.get();
-            plan.prober.record_hash_calls(plan.calls.get());
+            plan.flush();
         }
     }
     if deduped > 0 {
         obs::counter!("kernel.cell_plans_deduped").add(deduped);
     }
-    wave.flush(issued_positions);
+    obs::counter!("kernel.batches").add(cells.len().div_ceil(block) as u64);
     out
 }
 
@@ -1399,14 +645,12 @@ mod tests {
     fn kernel_kind_parses_and_displays() {
         assert_eq!("scalar".parse::<KernelKind>(), Ok(KernelKind::Scalar));
         assert_eq!("batched".parse::<KernelKind>(), Ok(KernelKind::Batched));
-        assert_eq!("simd".parse::<KernelKind>(), Ok(KernelKind::Simd));
         assert_eq!(KernelKind::default(), KernelKind::Batched);
         assert_eq!(KernelKind::Scalar.to_string(), "scalar");
         assert_eq!(KernelKind::Batched.to_string(), "batched");
-        assert_eq!(KernelKind::Simd.to_string(), "simd");
-        let err = "fancy".parse::<KernelKind>().unwrap_err();
+        let err = "simd".parse::<KernelKind>().unwrap_err();
         assert!(
-            err.contains("fancy") && err.contains("scalar|batched|simd"),
+            err.contains("simd") && err.contains("scalar|batched"),
             "{err}"
         );
     }
@@ -1427,9 +671,18 @@ mod tests {
     }
 
     #[test]
+    fn block_rows_round_up_to_whole_words() {
+        assert_eq!(block_words(BatchRows::Fixed(1), 0), 1);
+        assert_eq!(block_words(BatchRows::Fixed(64), 0), 1);
+        assert_eq!(block_words(BatchRows::Fixed(65), 0), 2);
+        assert_eq!(block_words(BatchRows::Fixed(256), 0), MAX_BLOCK_WORDS);
+        assert_eq!(block_words(BatchRows::Fixed(100_000), 0), MAX_BLOCK_WORDS);
+    }
+
+    #[test]
     fn kernel_opts_builders() {
-        let o = KernelOpts::new(KernelKind::Simd).with_batch_rows(BatchRows::Fixed(8));
-        assert_eq!(o.kernel, KernelKind::Simd);
+        let o = KernelOpts::new(KernelKind::Scalar).with_batch_rows(BatchRows::Fixed(8));
+        assert_eq!(o.kernel, KernelKind::Scalar);
         assert_eq!(o.batch_rows, BatchRows::Fixed(8));
         let d: KernelOpts = KernelKind::Batched.into();
         assert_eq!(d.batch_rows, BatchRows::Adaptive);
@@ -1465,27 +718,9 @@ mod tests {
     }
 
     #[test]
-    fn match_mask_restores_ascending_order() {
-        let mut mask = MatchMask::default();
-        for slot in [200u32, 3, 64, 0, 255, 65] {
-            mask.set(slot);
-        }
+    fn drain_rows_is_ascending() {
         let mut rows = Vec::new();
-        mask.drain_into(&mut rows, 1000);
-        assert_eq!(rows, vec![1000, 1003, 1064, 1065, 1200, 1255]);
-        // Drained mask is clear.
-        let mut again = Vec::new();
-        mask.drain_into(&mut again, 0);
-        assert!(again.is_empty());
-    }
-
-    #[test]
-    fn simd_engine_constants_consistent() {
-        // A detected engine implies the build compiled the SIMD paths.
-        assert!(active_simd_engine().is_none() || SIMD_COMPILED);
-        // Display names are what the CLI/env accept.
-        assert_eq!(SimdEngine::Avx2.to_string(), "avx2");
-        assert_eq!(SimdEngine::Avx512.to_string(), "avx512");
-        assert_eq!(SimdEngine::Neon.to_string(), "neon");
+        drain_rows(&[1 | 1 << 3, 0, 1 << 63], 1000, &mut rows);
+        assert_eq!(rows, vec![1000, 1003, 1191]);
     }
 }

@@ -153,7 +153,7 @@ pub fn calibrate(
 ) -> CostModel {
     assert!(!sample_queries.is_empty(), "need sample queries");
 
-    // The kernel's adaptive batch depth is a per-index property of the
+    // The kernel's adaptive block size is a per-index property of the
     // same calibration pass (AB footprint vs cache hierarchy); record
     // it here so one `kernel.batch_rows` sample per index exists even
     // before the first query runs.

@@ -130,12 +130,11 @@ impl AbIndex {
     }
 
     /// [`Self::retrieve_cells`] with full kernel options (engine and
-    /// batch-depth policy).
+    /// mask-block policy).
     pub fn retrieve_cells_with_opts(&self, cells: &[Cell], opts: KernelOpts) -> Vec<bool> {
         let mut tspan = obs::span_current(match opts.kernel {
             KernelKind::Scalar => "ab.kernel.scalar",
             KernelKind::Batched => "ab.kernel.batched",
-            KernelKind::Simd => "ab.kernel.simd",
         });
         if tspan.enabled() {
             tspan.annotate("cells_probed", cells.len());
@@ -196,9 +195,7 @@ impl AbIndex {
                     .map(|c| self.test_cell(c.row, c.attribute, c.bin))
                     .collect()
             }
-            KernelKind::Batched | KernelKind::Simd => {
-                crate::kernel::retrieve_cells_waves(self, cells, opts)
-            }
+            KernelKind::Batched => crate::kernel::retrieve_cells_masks(self, cells, opts),
         }
     }
 
@@ -280,7 +277,7 @@ impl AbIndex {
     }
 
     /// [`Self::try_execute_rect_with_stats`] with full kernel options
-    /// (engine and batch-depth policy).
+    /// (engine and mask-block policy).
     pub fn try_execute_rect_with_stats_opts(
         &self,
         query: &RectQuery,
@@ -310,7 +307,6 @@ impl AbIndex {
         let mut tspan = obs::span_current(match opts.kernel {
             KernelKind::Scalar => "ab.kernel.scalar",
             KernelKind::Batched => "ab.kernel.batched",
-            KernelKind::Simd => "ab.kernel.simd",
         });
         // Hierarchical pruning engages only when the caller asked for
         // it, a pyramid is attached, the query constrains at least one
@@ -380,9 +376,7 @@ impl AbIndex {
                 obs::counter!("kernel.scalar_fallbacks").inc();
                 self.execute_rect_scalar(query)
             }
-            KernelKind::Batched | KernelKind::Simd => {
-                crate::kernel::execute_rect_waves(self, query, opts)
-            }
+            KernelKind::Batched => crate::kernel::execute_rect_masks(self, query, opts, None),
         }
     }
 
@@ -429,9 +423,11 @@ impl AbIndex {
     /// are answered from their Roaring containers word-at-a-time —
     /// zero hash probes, zero false positives — and merged with AB
     /// probes for the unbacked bins. When every bin of every range is
-    /// backed the whole query resolves by word-parallel mask algebra;
-    /// otherwise a per-row loop combines container verdicts with
-    /// Figure 7 short-circuit probing of the remaining bins.
+    /// backed the whole query resolves by word-parallel mask algebra.
+    /// Otherwise the batched kernel seeds its 64-row masks from the
+    /// container words and probes only the unbacked bins
+    /// ([`crate::kernel`]); the scalar kernel runs the per-row
+    /// reference loop below.
     ///
     /// Alongside the hybrid (exact-where-possible) verdict the kernel
     /// tracks what the flat AB scan would have said, via the companion
@@ -446,7 +442,6 @@ impl AbIndex {
         query: &RectQuery,
         opts: KernelOpts,
     ) -> (Vec<usize>, QueryStats, u64) {
-        let _ = opts;
         let mut stats = QueryStats::default();
         if query.row_lo > query.row_hi {
             return (Vec::new(), stats, 0);
@@ -489,6 +484,9 @@ impl AbIndex {
             stats.rows_matched = rows.len();
             stats.fp_rows_eliminated = flat_rows - rows.len() as u64;
             return (rows, stats, 0);
+        }
+        if opts.kernel == KernelKind::Batched {
+            return crate::kernel::execute_rect_masks(self, query, opts, Some(&plans));
         }
 
         // Mixed: container verdicts for backed bins, Figure 7 probing
@@ -918,7 +916,7 @@ mod tests {
                 bin_group: 2,
             }],
         });
-        for kernel in [KernelKind::Scalar, KernelKind::Batched, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Batched] {
             let q = RectQuery::new(vec![AttrRange::new(0, 0, 0)], 0, 2047);
             let flat = idx
                 .try_execute_rect_with_stats_opts(&q, KernelOpts::new(kernel))
@@ -1045,7 +1043,7 @@ mod tests {
             full.total_bins(),
             partial,
         ));
-        for kernel in [KernelKind::Scalar, KernelKind::Batched, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Batched] {
             let q = RectQuery::new(
                 vec![AttrRange::new(0, 1, 3), AttrRange::new(1, 2, 6)],
                 50,

@@ -292,8 +292,7 @@ enum ColKind<'f> {
 }
 
 /// Per-row probe state, valid only with the [`ColProber`] that created
-/// it. Deliberately small and family-uniform so a query batch can keep
-/// one in flight per row lane.
+/// it.
 pub struct RowProbe {
     state: RowState,
     t: u64,
@@ -394,63 +393,6 @@ impl ColProber<'_> {
                 (*group_start + off).min(self.n - 1)
             }
             _ => unreachable!("RowProbe used with a ColProber of a different family"),
-        }
-    }
-
-    /// Batch form of [`Self::next_position`]: advances every probe in
-    /// `probes` by one step, writing the positions into
-    /// `out[..probes.len()]`. The sequence per probe is bit-identical
-    /// to calling `next_position` repeatedly — this is a *schedule*
-    /// optimization, not a hash change: the family dispatch and the
-    /// reduction-strategy branch are resolved once per batch instead of
-    /// once per probe, so the mixer families (double hashing,
-    /// column-group) compile to tight branch-free inner loops the
-    /// autovectorizer can widen, and the SIMD query kernel gets all of
-    /// a wave's first-probe positions from one call.
-    ///
-    /// The string families (independent roster, SHA-1 split) are
-    /// inherently serial per probe — they fall back to the scalar path
-    /// inside the hoisted dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `probes` (and, in debug builds,
-    /// if any probe came from a `ColProber` of a different family).
-    pub fn next_positions(&self, probes: &mut [RowProbe], out: &mut [u64]) {
-        assert!(
-            out.len() >= probes.len(),
-            "output buffer shorter than probe batch"
-        );
-        match &self.kind {
-            ColKind::Independent { .. } | ColKind::Sha1 { .. } => {
-                for (p, o) in probes.iter_mut().zip(out.iter_mut()) {
-                    *o = self.next_position(p);
-                }
-            }
-            ColKind::Double => {
-                for (p, o) in probes.iter_mut().zip(out.iter_mut()) {
-                    let t = p.t;
-                    p.t += 1;
-                    let RowState::Double { h1, h2 } = &p.state else {
-                        unreachable!("RowProbe used with a ColProber of a different family")
-                    };
-                    *o = self.reduce_hash(h1.wrapping_add(t.wrapping_mul(*h2)));
-                }
-            }
-            ColKind::ColumnGroup {
-                group_size,
-                group_start,
-            } => {
-                for (p, o) in probes.iter_mut().zip(out.iter_mut()) {
-                    let t = p.t;
-                    p.t += 1;
-                    let RowState::ColumnGroup { row, h2 } = &p.state else {
-                        unreachable!("RowProbe used with a ColProber of a different family")
-                    };
-                    let off = row.wrapping_add(t.wrapping_mul(*h2)) % *group_size;
-                    *o = (*group_start + off).min(self.n - 1);
-                }
-            }
         }
     }
 
@@ -674,62 +616,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The batch API must be a pure re-schedule of `next_position`:
-    /// same positions, same `t` advancement, for every family —
-    /// including mixed batch/scalar interleavings, which is exactly how
-    /// the SIMD kernel consumes it (batched first probes, scalar
-    /// continuations).
-    #[test]
-    fn next_positions_matches_next_position_for_all_families() {
-        let families = [
-            HashFamily::default_independent(),
-            HashFamily::Sha1Split,
-            HashFamily::DoubleHashing,
-            HashFamily::ColumnGroup { num_columns: 16 },
-        ];
-        let mapper = CellMapper::for_columns(16);
-        for f in &families {
-            for n in [1u64 << 14, (1 << 14) - 123] {
-                let cp = f.col_prober(3, mapper, n);
-                let rows = [0u64, 1, 999, 123_456, 77, 31];
-                // Reference: 4 sequential probes per row.
-                let want: Vec<Vec<u64>> = rows
-                    .iter()
-                    .map(|&r| {
-                        let mut p = cp.begin(r);
-                        (0..4).map(|_| cp.next_position(&mut p)).collect()
-                    })
-                    .collect();
-                // Batched: one wave per probe index across all rows.
-                let mut probes: Vec<RowProbe> = rows.iter().map(|&r| cp.begin(r)).collect();
-                let mut out = vec![0u64; rows.len()];
-                #[allow(clippy::needless_range_loop)] // step indexes the 2-D reference table
-                for step in 0..4 {
-                    cp.next_positions(&mut probes, &mut out);
-                    for (r, &got) in out.iter().enumerate() {
-                        assert_eq!(got, want[r][step], "{f:?} n={n} row#{r} step {step}");
-                    }
-                }
-                // Interleaved: batch one step, then scalar the rest.
-                let mut probes: Vec<RowProbe> = rows.iter().map(|&r| cp.begin(r)).collect();
-                cp.next_positions(&mut probes, &mut out);
-                for (r, p) in probes.iter_mut().enumerate() {
-                    assert_eq!(cp.next_position(p), want[r][1], "{f:?} interleaved row#{r}");
-                    assert_eq!(p.probes(), 2);
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "output buffer shorter")]
-    fn next_positions_rejects_short_output() {
-        let f = HashFamily::DoubleHashing;
-        let cp = f.col_prober(0, CellMapper::RowOnly, 1 << 10);
-        let mut probes = vec![cp.begin(1), cp.begin(2)];
-        cp.next_positions(&mut probes, &mut [0u64; 1]);
     }
 
     #[cfg(not(feature = "obs-off"))]

@@ -134,7 +134,7 @@ impl Client {
     pub fn send(&mut self, req: &Request) -> Result<u64, NetError> {
         let id = self.next_id;
         self.next_id += 1;
-        let bytes = encode_request(id, req);
+        let bytes = encode_request(id, req)?;
         self.stream.write_all(&bytes)?;
         Ok(id)
     }
@@ -146,7 +146,7 @@ impl Client {
     /// use with [`Client::send`] cannot collide.
     pub fn send_with_id(&mut self, id: u64, req: &Request) -> Result<(), NetError> {
         self.next_id = self.next_id.max(id + 1);
-        let bytes = encode_request(id, req);
+        let bytes = encode_request(id, req)?;
         self.stream.write_all(&bytes)?;
         Ok(())
     }

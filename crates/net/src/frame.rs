@@ -105,6 +105,9 @@ pub enum ErrorCode {
     RetriesExhausted = 7,
     /// An exact answer touched a quarantined shard.
     ShardQuarantined = 8,
+    /// The answer's payload would exceed [`MAX_PAYLOAD`]; narrow the
+    /// query (fewer rows or ranges) and retry.
+    AnswerTooLarge = 9,
     /// Frame bytes did not start with [`MAGIC`].
     BadMagic = 16,
     /// Frame version unsupported; message names the supported one.
@@ -133,6 +136,7 @@ impl ErrorCode {
             6 => WahUnavailable,
             7 => RetriesExhausted,
             8 => ShardQuarantined,
+            9 => AnswerTooLarge,
             16 => BadMagic,
             17 => BadVersion,
             18 => Oversized,
@@ -155,6 +159,7 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::WahUnavailable => "wah_unavailable",
             ErrorCode::RetriesExhausted => "retries_exhausted",
             ErrorCode::ShardQuarantined => "shard_quarantined",
+            ErrorCode::AnswerTooLarge => "answer_too_large",
             ErrorCode::BadMagic => "bad_magic",
             ErrorCode::BadVersion => "bad_version",
             ErrorCode::Oversized => "oversized",
@@ -395,7 +400,17 @@ impl W {
     }
 }
 
-fn put_rect(w: &mut W, q: &RectQuery) {
+/// Rejects a count the decoder would refuse, before it is written
+/// into a narrower wire field.
+fn check_count(n: usize, max: usize, what: &'static str) -> Result<(), FrameError> {
+    if n > max {
+        return Err(FrameError::Malformed(what));
+    }
+    Ok(())
+}
+
+fn put_rect(w: &mut W, q: &RectQuery) -> Result<(), FrameError> {
+    check_count(q.ranges.len(), MAX_RANGES, "range count over cap")?;
     w.u64(q.row_lo as u64);
     w.u64(q.row_hi as u64);
     w.u16(q.ranges.len() as u16);
@@ -404,6 +419,7 @@ fn put_rect(w: &mut W, q: &RectQuery) {
         w.u32(r.lo);
         w.u32(r.hi);
     }
+    Ok(())
 }
 
 fn put_degraded(w: &mut W, degraded: &[u32]) {
@@ -428,14 +444,23 @@ pub fn seal(request_id: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Encodes a request into a sealed frame.
-pub fn encode_request(request_id: u64, req: &Request) -> Vec<u8> {
+///
+/// # Errors
+///
+/// A request the decoder would refuse is rejected here rather than
+/// truncated on the wire: more than [`MAX_RANGES`] ranges in a rect,
+/// [`MAX_CELLS`] cells or [`MAX_QUERIES`] queries is
+/// [`FrameError::Malformed`], and a payload over [`MAX_PAYLOAD`] is
+/// [`FrameError::Oversized`].
+pub fn encode_request(request_id: u64, req: &Request) -> Result<Vec<u8>, FrameError> {
     let mut w = W(Vec::new());
     match req {
         Request::Rect { deadline_ms, query } => {
             w.u32(*deadline_ms);
-            put_rect(&mut w, query);
+            put_rect(&mut w, query)?;
         }
         Request::Cells { deadline_ms, cells } => {
+            check_count(cells.len(), MAX_CELLS, "cell count over cap")?;
             w.u32(*deadline_ms);
             w.u32(cells.len() as u32);
             for c in cells {
@@ -448,18 +473,27 @@ pub fn encode_request(request_id: u64, req: &Request) -> Vec<u8> {
             deadline_ms,
             queries,
         } => {
+            check_count(queries.len(), MAX_QUERIES, "query count over cap")?;
             w.u32(*deadline_ms);
             w.u16(queries.len() as u16);
             for q in queries {
-                put_rect(&mut w, q);
+                put_rect(&mut w, q)?;
             }
         }
         Request::Ping | Request::Schema => {}
     }
-    seal(request_id, req.kind(), &w.0)
+    if w.0.len() > MAX_PAYLOAD as usize {
+        return Err(FrameError::Oversized(
+            u32::try_from(w.0.len()).unwrap_or(u32::MAX),
+        ));
+    }
+    Ok(seal(request_id, req.kind(), &w.0))
 }
 
-/// Encodes a response into a sealed frame.
+/// Encodes a response into a sealed frame. Never emits a frame the
+/// peer would refuse as oversized: an answer whose payload exceeds
+/// [`MAX_PAYLOAD`] is replaced by a non-fatal
+/// [`ErrorCode::AnswerTooLarge`] error frame under the same id.
 pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
     let mut w = W(Vec::new());
     match resp {
@@ -507,6 +541,19 @@ pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
             w.u16(n as u16);
             w.0.extend_from_slice(&msg[..n]);
         }
+    }
+    if w.0.len() > MAX_PAYLOAD as usize {
+        return encode_response(
+            request_id,
+            &Response::Error {
+                code: ErrorCode::AnswerTooLarge,
+                retryable: false,
+                message: format!(
+                    "answer payload of {} bytes exceeds max {MAX_PAYLOAD}",
+                    w.0.len()
+                ),
+            },
+        );
     }
     seal(request_id, resp.kind(), &w.0)
 }
@@ -807,7 +854,7 @@ mod tests {
     }
 
     fn roundtrip_request(req: Request) {
-        let bytes = encode_request(77, &req);
+        let bytes = encode_request(77, &req).unwrap();
         let mut fr = FrameReader::new();
         fr.push(&bytes);
         let frame = fr.next_frame().unwrap().unwrap();
@@ -875,7 +922,11 @@ mod tests {
             deadline_ms: 1,
             query: rect(0, 99),
         };
-        let bytes = [encode_request(1, &req), encode_request(2, &Request::Ping)].concat();
+        let bytes = [
+            encode_request(1, &req).unwrap(),
+            encode_request(2, &Request::Ping).unwrap(),
+        ]
+        .concat();
         let mut fr = FrameReader::new();
         let mut got = Vec::new();
         for b in &bytes {
@@ -888,9 +939,90 @@ mod tests {
         assert_eq!(fr.pending(), 0);
     }
 
+    /// Each request count the decoder caps is rejected by the encoder
+    /// one past the cap, never truncated into its narrower wire field,
+    /// and accepted at the cap.
+    #[test]
+    fn encoder_rejects_counts_past_the_decoder_caps() {
+        let ranges = |n: usize| RectQuery::new(vec![AttrRange::new(0, 0, 0); n], 0, 9);
+        let rect = |n: usize| Request::Rect {
+            deadline_ms: 0,
+            query: ranges(n),
+        };
+        roundtrip_request(rect(MAX_RANGES));
+        assert_eq!(
+            encode_request(1, &rect(MAX_RANGES + 1)),
+            Err(FrameError::Malformed("range count over cap"))
+        );
+        let batch = |n: usize| Request::Batch {
+            deadline_ms: 0,
+            queries: vec![ranges(1); n],
+        };
+        roundtrip_request(batch(MAX_QUERIES));
+        assert_eq!(
+            encode_request(1, &batch(MAX_QUERIES + 1)),
+            Err(FrameError::Malformed("query count over cap"))
+        );
+        // A batch of in-cap rects whose total exceeds the payload cap.
+        let wide = Request::Batch {
+            deadline_ms: 0,
+            queries: vec![ranges(MAX_RANGES); MAX_QUERIES / 4],
+        };
+        assert!(matches!(
+            encode_request(1, &wide),
+            Err(FrameError::Oversized(n)) if n > MAX_PAYLOAD
+        ));
+        let cells = |n: usize| Request::Cells {
+            deadline_ms: 0,
+            cells: vec![ab::Cell::new(0, 0, 0); n],
+        };
+        // 8 header bytes + 16 per cell: the largest cell request that
+        // fits the payload cap encodes; MAX_CELLS cells do not fit.
+        let fit = (MAX_PAYLOAD as usize - 8) / 16;
+        roundtrip_request(cells(fit));
+        assert!(matches!(
+            encode_request(1, &cells(MAX_CELLS)),
+            Err(FrameError::Oversized(_))
+        ));
+        assert_eq!(
+            encode_request(1, &cells(MAX_CELLS + 1)),
+            Err(FrameError::Malformed("cell count over cap"))
+        );
+    }
+
+    /// An answer whose payload would exceed the cap becomes a
+    /// non-fatal typed error frame under the request's id.
+    #[test]
+    fn oversized_answer_encodes_as_answer_too_large() {
+        // 2 + 8 bytes of header: this many rows fill the cap exactly.
+        let fit = (MAX_PAYLOAD as usize - 10) / 8;
+        let rows = |n: usize| Response::Rect {
+            degraded: vec![],
+            rows: vec![7; n],
+        };
+        let mut fr = FrameReader::new();
+        fr.push(&encode_response(3, &rows(fit)));
+        assert!(matches!(
+            decode_response(&fr.next_frame().unwrap().unwrap()),
+            Ok(Response::Rect { rows, .. }) if rows.len() == fit
+        ));
+        fr.push(&encode_response(4, &rows(fit + 1)));
+        let frame = fr.next_frame().unwrap().unwrap();
+        assert_eq!(frame.request_id, 4);
+        match decode_response(&frame).unwrap() {
+            Response::Error {
+                code, retryable, ..
+            } => {
+                assert_eq!(code, ErrorCode::AnswerTooLarge);
+                assert!(!retryable);
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+    }
+
     #[test]
     fn bad_magic_is_fatal() {
-        let mut bytes = encode_request(1, &Request::Ping);
+        let mut bytes = encode_request(1, &Request::Ping).unwrap();
         bytes[0] ^= 0xFF;
         let mut fr = FrameReader::new();
         fr.push(&bytes);
@@ -901,7 +1033,7 @@ mod tests {
 
     #[test]
     fn bad_version_is_fatal() {
-        let mut bytes = encode_request(1, &Request::Ping);
+        let mut bytes = encode_request(1, &Request::Ping).unwrap();
         bytes[2] = 9;
         let mut fr = FrameReader::new();
         fr.push(&bytes);
@@ -912,7 +1044,7 @@ mod tests {
 
     #[test]
     fn oversized_length_is_fatal_before_allocation() {
-        let mut bytes = encode_request(1, &Request::Ping);
+        let mut bytes = encode_request(1, &Request::Ping).unwrap();
         bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut fr = FrameReader::new();
         fr.push(&bytes);
@@ -928,7 +1060,8 @@ mod tests {
                 deadline_ms: 7,
                 query: rect(3, 9),
             },
-        );
+        )
+        .unwrap();
         // Flipping any byte after the version/length fields must
         // surface as *some* framing error (usually BadCrc); never a
         // silently different frame.
@@ -1005,6 +1138,7 @@ mod tests {
             ErrorCode::WahUnavailable,
             ErrorCode::RetriesExhausted,
             ErrorCode::ShardQuarantined,
+            ErrorCode::AnswerTooLarge,
             ErrorCode::BadMagic,
             ErrorCode::BadVersion,
             ErrorCode::Oversized,

@@ -141,6 +141,12 @@ impl ReconnectClient {
                 self.reconnect_and_replay()?;
                 Ok(id)
             }
+            Err(e @ NetError::Frame(_)) => {
+                // The request could not be encoded, so it was never
+                // sent: nothing to replay.
+                self.pending.remove(&id);
+                Err(e)
+            }
             Err(e) => Err(e),
         }
     }

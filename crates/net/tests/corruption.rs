@@ -40,6 +40,7 @@ fn rect_frame(id: u64) -> Vec<u8> {
             query: RectQuery::new(vec![AttrRange::new(0, 1, 3)], 0, 199),
         },
     )
+    .unwrap()
 }
 
 /// The server must still answer a fresh, healthy connection — the

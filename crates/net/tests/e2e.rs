@@ -359,3 +359,42 @@ fn unknown_kind_keeps_connection_alive() {
     assert_eq!((id, resp), (10, Response::Pong));
     server.shutdown(Duration::from_secs(2));
 }
+
+/// An answer whose frame would exceed `MAX_PAYLOAD` (2.2M rows at 8
+/// bytes each) comes back as a typed, non-fatal `AnswerTooLarge`
+/// error, and the same connection keeps serving.
+#[test]
+fn oversized_answer_is_a_typed_error_and_the_connection_survives() {
+    const ROWS: usize = 2_200_000;
+    let t = BinnedTable::new(vec![BinnedColumn::new(
+        "a",
+        (0..ROWS).map(|i| (i % 2) as u32).collect(),
+        2,
+    )]);
+    let svc = Arc::new(Service::build(
+        &t,
+        &AbConfig::new(Level::PerAttribute).with_alpha(8),
+        &SvcConfig {
+            threads: 2,
+            shards: 2,
+            ..SvcConfig::default()
+        },
+    ));
+    both_backends(|cfg| {
+        let server = start(&svc, cfg);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        match client.query_rect(&RectQuery::new(vec![], 0, ROWS - 1), 0) {
+            Err(NetError::Remote {
+                code: ErrorCode::AnswerTooLarge,
+                retryable: false,
+                ..
+            }) => {}
+            other => panic!("expected AnswerTooLarge, got {other:?}"),
+        }
+        let small = client
+            .query_rect(&RectQuery::new(vec![], 0, 9), 0)
+            .expect("connection must stay open");
+        assert_eq!(small, (0..10).collect::<Vec<u64>>());
+        server.shutdown(Duration::from_secs(2));
+    });
+}

@@ -44,6 +44,8 @@ pub struct RepairSource {
     /// The binned source table the index was built from.
     pub table: BinnedTable,
     /// The build configuration (level, alpha, hashing) used originally.
+    /// A rebuilt shard takes its hash family from an intact sibling
+    /// shard; `config.family` applies only when no shard is intact.
     pub config: AbConfig,
 }
 

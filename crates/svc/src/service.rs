@@ -70,7 +70,7 @@ pub struct SvcConfig {
     /// Probe engine shard jobs run on (results are identical either
     /// way; see [`ab::KernelKind`]).
     pub kernel: KernelKind,
-    /// Batch-depth policy for the batched/simd kernels
+    /// Mask-block policy for the batched kernel
     /// ([`ab::BatchRows::Adaptive`] sizes per query from the cache
     /// hierarchy).
     pub batch_rows: BatchRows,
@@ -314,7 +314,7 @@ impl Service {
         self.kernel.kernel
     }
 
-    /// The full kernel options (engine + batch-depth policy).
+    /// The full kernel options (engine + mask-block policy).
     pub fn kernel_opts(&self) -> KernelOpts {
         self.kernel
     }
@@ -1384,7 +1384,7 @@ mod tests {
         )]);
         let ab = AbConfig::new(Level::PerAttribute).with_alpha(32);
         let flat = Service::build(&t, &ab, &small_cfg());
-        for kernel in [KernelKind::Scalar, KernelKind::Batched, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Batched] {
             let cfg = SvcConfig {
                 kernel,
                 hier: HierMode::Force,

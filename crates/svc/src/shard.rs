@@ -350,6 +350,11 @@ impl ShardedIndex {
     /// originally persisted. Returns the index plus the ids of the
     /// shards that were rebuilt (empty when the envelope was clean).
     ///
+    /// A rebuilt shard takes its hash family from an intact sibling
+    /// shard, not from `config`: the file records the family it was
+    /// built with, which may differ from today's default. Only when no
+    /// shard is intact does the rebuild fall back to `config`'s family.
+    ///
     /// Envelope-level damage (bad magic/version, truncation, segment
     /// count, out-of-order starts) is not repairable segment by
     /// segment and stays a hard error, as does a clean envelope whose
@@ -362,6 +367,14 @@ impl ShardedIndex {
     ) -> Result<(Self, Vec<usize>), ab::IoError> {
         let segments = ab::shards_from_bytes_checked(data)?;
         let ranges = ab::shard_ranges(table.num_rows(), segments.len());
+        let stored_family = segments.iter().find_map(|(_, seg)| {
+            let ab = seg.as_ref().ok()?.abs().first()?;
+            Some(ab.family().clone())
+        });
+        let config = match stored_family {
+            Some(family) => config.clone().with_family(family),
+            None => config.clone(),
+        };
         let mut shards = Vec::with_capacity(segments.len());
         let mut repaired = Vec::new();
         for (sid, ((start, seg), r)) in segments.into_iter().zip(&ranges).enumerate() {
@@ -375,7 +388,7 @@ impl ShardedIndex {
                 Err(_) => {
                     obs::counter!("svc.shard_repairs").inc();
                     repaired.push(sid);
-                    AbIndex::build(&table.slice_rows(r.clone()), config)
+                    AbIndex::build(&table.slice_rows(r.clone()), &config)
                 }
             };
             shards.push(Shard {

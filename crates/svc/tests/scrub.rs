@@ -231,3 +231,39 @@ fn background_scrubber_repairs_without_help() {
     scrubber.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A segment built with the independent roster, repaired from a
+/// `RepairSource` carrying today's default config (double hashing):
+/// the rebuilt shard must take the family its intact sibling records,
+/// so the file comes back bit-identical instead of mixing families.
+#[test]
+fn repair_keeps_the_stored_hash_family() {
+    let dir = tmpdir("family");
+    let path = dir.join("idx.seg");
+    let roster = cfg().with_family(hashkit::HashFamily::default_independent());
+    assert_ne!(roster.family, cfg().family, "the default must differ here");
+    let payload = ShardedIndex::build(&table(), &roster, 2, false).to_bytes();
+    store::write(&path, &payload, PAGE, &store::RealIo).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let mut st = store::Store::open(&path).unwrap();
+    let e = st.extents()[1];
+    flip_on_disk(
+        &path,
+        st.header().payload_offset() + (e.offset + e.len / 2) as u64,
+        0x08,
+    );
+    let health = svc::ShardHealth::new(2);
+    let status = StoreStatus::new(st.backend());
+    let repair = RepairSource {
+        table: table(),
+        config: cfg(),
+    };
+    let out = scrub_pass(&mut st, &health, Some(&repair), &status, &store::RealIo).unwrap();
+    assert_eq!(out, PassOutcome::Repaired(vec![1]));
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        pristine,
+        "repair must rebuild with the stored family"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -10,7 +10,7 @@
 //!           [--rows LO..HI] [--limit N]
 //! abq serve --csv data.csv [--threads N] [--shards N] [--bins N]
 //!           [--alpha N] [--deadline-ms N] [--wah] [--retries N]
-//!           [--kernel scalar|batched|simd] [--batch-rows adaptive|N]
+//!           [--kernel scalar|batched] [--batch-rows adaptive|N]
 //!           [--hier [off|auto|force]] [--hybrid [off|auto|force]]
 //!           [--listen HOST:PORT [--max-conns N] [--drain-ms N]
 //!            [--trace-dump FILE]]
@@ -24,8 +24,8 @@
 //!           [--seed N] [--batch-size N] [--deadline-ms N] [--out FILE]
 //! abq bench-svc --csv data.csv [--threads N] [--shards N]
 //!           [--queries N] [--bins N] [--alpha N] [--retries N]
-//!           [--kernel scalar|batched|simd] [--batch-rows adaptive|N]
-//! abq bench-report [BENCH_kernel.json BENCH_simd.json ...]
+//!           [--kernel scalar|batched] [--batch-rows adaptive|N]
+//! abq bench-report [BENCH_kernel.json BENCH_hier.json ...]
 //! ```
 //!
 //! `build` reads a numeric CSV with a header row, discretizes every
@@ -106,7 +106,7 @@ fn print_usage() {
          abq verify --index FILE\n  \
          abq query --index FILE [--where ATTR=LO..HI]... [--rows LO..HI] [--limit N]\n  \
          abq serve --csv FILE [--threads N] [--shards N] [--bins N] [--alpha N] \
-         [--deadline-ms N] [--wah] [--retries N] [--kernel scalar|batched|simd] \
+         [--deadline-ms N] [--wah] [--retries N] [--kernel scalar|batched] \
          [--batch-rows adaptive|N] [--hier [off|auto|force]] \
          [--hybrid [off|auto|force]] \
          [--telemetry-addr HOST:PORT] [--slow-ms N] \
@@ -121,7 +121,7 @@ fn print_usage() {
          [--out FILE]\n  \
          abq trace (--addr HOST:PORT | --file DUMP.json)\n  \
          abq bench-svc --csv FILE [--threads N] [--shards N] [--queries N] \
-         [--bins N] [--alpha N] [--retries N] [--kernel scalar|batched|simd] \
+         [--bins N] [--alpha N] [--retries N] [--kernel scalar|batched] \
          [--batch-rows adaptive|N]\n  \
          abq bench-report [BENCH_FILE.json ...]"
     );
@@ -405,8 +405,6 @@ fn parse_threads(args: &[String]) -> Result<usize, String> {
 
 /// The `--kernel` flag: which probe engine shard jobs run on
 /// (default batched; results are identical, only throughput differs).
-/// `simd` needs the `simd` cargo feature compiled in to differ from
-/// `batched` — without it the wave loop degrades to scalar reads.
 fn parse_kernel(args: &[String]) -> Result<ab::KernelKind, String> {
     match flag_value(args, "--kernel") {
         Some(k) => k.parse().map_err(|e| format!("--kernel: {e}")),
@@ -414,7 +412,7 @@ fn parse_kernel(args: &[String]) -> Result<ab::KernelKind, String> {
     }
 }
 
-/// The `--batch-rows` flag: probe-batch depth policy (default
+/// The `--batch-rows` flag: rows per mask block (default
 /// adaptive: sized per query from the AB footprint vs the cache
 /// hierarchy).
 fn parse_batch_rows(args: &[String]) -> Result<ab::BatchRows, String> {
@@ -1403,13 +1401,9 @@ mod tests {
             parse_kernel(&strings(&["--kernel", "batched"])),
             Ok(ab::KernelKind::Batched)
         );
-        assert_eq!(
-            parse_kernel(&strings(&["--kernel", "simd"])),
-            Ok(ab::KernelKind::Simd)
-        );
         assert_eq!(parse_kernel(&strings(&[])), Ok(ab::KernelKind::Batched));
-        let err = parse_kernel(&strings(&["--kernel", "turbo"])).unwrap_err();
-        assert!(err.contains("scalar|batched|simd"), "{err}");
+        let err = parse_kernel(&strings(&["--kernel", "simd"])).unwrap_err();
+        assert!(err.contains("scalar|batched"), "{err}");
     }
 
     #[test]
@@ -1436,7 +1430,7 @@ mod tests {
             &p,
             r#"{"counters":{},"histograms":{},"extra":{
                 "kernel.rows_per_sec.scalar.k8.out_llc": 1e6,
-                "kernel.rows_per_sec.simd.k8.out_llc": 2e6}}"#,
+                "kernel.rows_per_sec.batched.k8.out_llc": 2e6}}"#,
         )
         .unwrap();
         cmd_bench_report(&strings(&[p.to_str().unwrap()])).unwrap();
@@ -1566,9 +1560,8 @@ mod tests {
             body.push_str(&format!("{}.0,{}.0\n", i % 41, (i * 3) % 11));
         }
         std::fs::write(&csv, body).unwrap();
-        // Every kernel drives the full service path from the CLI
-        // (simd degrades gracefully on builds without the feature).
-        for kernel in ["scalar", "batched", "simd"] {
+        // Every kernel drives the full service path from the CLI.
+        for kernel in ["scalar", "batched"] {
             cmd_bench_svc(&strings(&[
                 "--csv",
                 csv.to_str().unwrap(),

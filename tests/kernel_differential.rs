@@ -1,8 +1,8 @@
 //! Probe-kernel differential tests: the full kernel matrix
-//! (scalar × batched × simd) × batch-depth policies (adaptive and
+//! (scalar × batched) × batch-depth policies (adaptive and
 //! forced 8/64/256) against the scalar reference loop.
 //!
-//! The batched and SIMD kernels (DESIGN.md §13–§14) restructure the
+//! The batched kernel (DESIGN.md §13) restructures the
 //! Figure 5/7 probe loops for memory-level parallelism but must not
 //! change a single observable: rect results must be bit-identical and
 //! the `QueryStats` probe accounting (`cells_probed`, `bits_read`,
@@ -11,10 +11,7 @@
 //! importantly, against any probe-sequence divergence that would show
 //! up as a false negative.
 //!
-//! Run with and without `--features prefetch` and `--features simd`;
-//! CI's `kernel-smoke` and `simd-smoke` jobs cover all configs (the
-//! latter also pins `AB_SIMD=avx2` in a separate process to exercise
-//! the narrower gather path on AVX-512 machines).
+//! CI's `kernel-smoke` job runs this file in release mode.
 
 use ab::{
     AbConfig, AbIndex, BatchRows, Cell, HierConfig, HierLevelSpec, HierMode, HybridConfig,
@@ -24,12 +21,12 @@ use bitmap::{AttrRange, BinnedTable, RectQuery};
 use datagen::small_uniform;
 use hashkit::HashFamily;
 
-/// Every non-reference kernel configuration under test: both wave
-/// engines crossed with the adaptive policy and fixed depths bracketing
-/// it (8 = sub-wave, 64 = classic, 256 = the deep-pipeline maximum).
+/// Every non-reference kernel configuration under test: the batched
+/// kernel crossed with the adaptive policy and fixed block sizes
+/// bracketing it (8 = sub-word, 64 = one word, 256 = the maximum).
 fn kernel_matrix() -> Vec<KernelOpts> {
     let mut m = Vec::new();
-    for kernel in [KernelKind::Batched, KernelKind::Simd] {
+    for kernel in [KernelKind::Batched] {
         for batch in [
             BatchRows::Adaptive,
             BatchRows::Fixed(8),
@@ -223,7 +220,7 @@ fn empty_row_interval_matches() {
         row_lo: 100,
         row_hi: 50,
     };
-    for kernel in [KernelKind::Scalar, KernelKind::Batched, KernelKind::Simd] {
+    for kernel in [KernelKind::Scalar, KernelKind::Batched] {
         let (rows, stats) = idx.try_execute_rect_with_stats_kernel(&q, kernel).unwrap();
         assert!(rows.is_empty());
         assert_eq!(stats.cells_probed, 0);
@@ -429,41 +426,4 @@ fn hybrid_tier_is_exact_for_backed_bins_and_never_drops_rows() {
         eliminated_total > 0,
         "no false positives eliminated across the whole matrix"
     );
-}
-
-/// `kernel.prefetches` must report only prefetch instructions that
-/// actually executed: on builds where the prefetch is a no-op
-/// (`PREFETCH_ACTIVE == false`) the counter stays frozen across both
-/// query paths; on active builds it advances by exactly `bits_read`
-/// (each issued probe position prefetches its AB word once).
-#[test]
-fn prefetch_counter_counts_only_real_prefetches() {
-    let table = &datasets()[0];
-    let idx = AbIndex::build(table, &AbConfig::new(Level::PerAttribute).with_alpha(8));
-    let q = RectQuery::new(
-        vec![AttrRange::new(0, 0, table.column(0).cardinality / 2)],
-        0,
-        table.num_rows() - 1,
-    );
-    for opts in kernel_matrix() {
-        let before = obs::global().snapshot().counter("kernel.prefetches");
-        let (_, stats) = idx.try_execute_rect_with_stats_opts(&q, opts).unwrap();
-        let cells: Vec<Cell> = (0..100)
-            .map(|i| Cell::new((i * 7) % table.num_rows(), 0, 0))
-            .collect();
-        let verdicts = idx.retrieve_cells_with_opts(&cells, opts);
-        let after = obs::global().snapshot().counter("kernel.prefetches");
-        if ab::PREFETCH_ACTIVE {
-            assert!(
-                after - before >= stats.bits_read as u64,
-                "active build under-reported prefetches on {opts:?}: {before} -> {after}"
-            );
-        } else {
-            assert_eq!(
-                before, after,
-                "no-op build reported phantom prefetches on {opts:?}"
-            );
-        }
-        assert_eq!(verdicts.len(), cells.len());
-    }
 }

@@ -118,6 +118,44 @@ fn measured_fp_tracks_theory() {
     }
 }
 
+/// §4's guarantee for the served configuration: with the default hash
+/// family, the measured false-positive rate over every (row, wrong
+/// bin) cell of a uniform per-attribute AB lies within ±4σ (binomial)
+/// of (1 − e^{−k/α})^k. Independent of any fixed tolerance factor, so
+/// a hash or position bug that skews the rate shows up as a z-score.
+#[test]
+fn served_family_fp_rate_within_binomial_band() {
+    use bitmap::{BinnedColumn, BinnedTable};
+    const ROWS: usize = 1 << 16;
+    const BINS: u32 = 10;
+    let bins: Vec<u32> = (0..ROWS as u64)
+        .map(|r| (hashkit::splitmix64(r ^ 0xB1A5) % u64::from(BINS)) as u32)
+        .collect();
+    let table = BinnedTable::new(vec![BinnedColumn::new("u", bins.clone(), BINS)]);
+    for alpha in [4u64, 8, 16] {
+        let idx = ab::AbIndex::build(
+            &table,
+            &ab::AbConfig::new(ab::Level::PerAttribute).with_alpha(alpha),
+        );
+        let ab = &idx.abs()[0];
+        let cells: Vec<ab::Cell> = (0..ROWS)
+            .flat_map(|r| (0..BINS).map(move |b| (r, b)))
+            .filter(|&(r, b)| bins[r] != b)
+            .map(|(r, b)| ab::Cell::new(r, 0, b))
+            .collect();
+        let fp = idx.retrieve_cells(&cells).iter().filter(|&&v| v).count() as f64;
+        let trials = cells.len() as f64;
+        let p = fp_rate(ab.k(), ab.n_bits() as f64 / ROWS as f64);
+        let z = (fp - trials * p) / (trials * p * (1.0 - p)).sqrt();
+        assert!(
+            z.abs() <= 4.0,
+            "alpha={alpha} k={}: measured FP {:.5} vs theory {p:.5} (z = {z:+.1})",
+            ab.k(),
+            fp / trials
+        );
+    }
+}
+
 /// §4.3 probe accounting: the k hash probes per cell short-circuit on
 /// the first zero bit, so across a query `cells_probed <= bits_read <=
 /// cells_probed x k` — the bound behind the O(c) direct-access claim.
