@@ -39,7 +39,7 @@ fn bench_rect_kernels(c: &mut Criterion) {
             group.bench_function(name, |b| {
                 b.iter(|| {
                     for q in queries.iter().take(20) {
-                        std::hint::black_box(ab.try_execute_rect_with_kernel(q, kernel).unwrap());
+                        std::hint::black_box(ab.execute(q, kernel.into(), ab::no_cancel).unwrap());
                     }
                 })
             });

@@ -73,12 +73,12 @@ fn make_queries(rows: usize) -> Vec<RectQuery> {
 /// Rows scanned per second across the query batch (one warm-up pass).
 fn rows_per_sec(idx: &AbIndex, queries: &[RectQuery], kernel: KernelKind) -> f64 {
     for q in queries {
-        black_box(idx.try_execute_rect_with_kernel(q, kernel).unwrap());
+        black_box(idx.execute(q, kernel.into(), ab::no_cancel).unwrap());
     }
     let scanned: usize = queries.iter().map(|q| q.row_hi - q.row_lo + 1).sum();
     let start = Instant::now();
     for q in queries {
-        black_box(idx.try_execute_rect_with_kernel(q, kernel).unwrap());
+        black_box(idx.execute(q, kernel.into(), ab::no_cancel).unwrap());
     }
     scanned as f64 / start.elapsed().as_secs_f64()
 }

@@ -224,7 +224,9 @@ pub fn metrics_workload(scale: f64, seed: u64) -> obs::Snapshot {
     let mut queries_run = 0u64;
     for (b, ab_index, queries) in &prepared {
         for q in queries {
-            let (rows, stats) = ab_index.execute_rect_with_stats(q);
+            let (rows, stats) = ab_index
+                .execute(q, ab::KernelOpts::default(), ab::no_cancel)
+                .expect("generated queries are in range");
             total.cells_probed += stats.cells_probed;
             total.bits_read += stats.bits_read;
             total.rows_matched += stats.rows_matched;

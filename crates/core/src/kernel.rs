@@ -37,7 +37,7 @@
 use crate::encoding::ApproximateBitmap;
 use crate::hybrid::HybridRangePlan;
 use crate::level::AbIndex;
-use crate::query::{Cell, QueryStats};
+use crate::query::{Cell, Pacer, QueryStats};
 use bitmap::RectQuery;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
@@ -448,7 +448,7 @@ fn resolved_plan_bytes(plans: &[Vec<CellPlan>]) -> u64 {
 }
 
 /// Pushes `base + i` for every set bit `i` of `words`, ascending.
-fn drain_rows(words: &[u64], base: usize, rows: &mut Vec<usize>) {
+pub(crate) fn drain_rows(words: &[u64], base: usize, rows: &mut Vec<usize>) {
     for (w, &word) in words.iter().enumerate() {
         let mut m = word;
         while m != 0 {
@@ -471,25 +471,28 @@ fn drain_rows(words: &[u64], base: usize, rows: &mut Vec<usize>) {
 /// flat-AB shadow behind `fp_rows_eliminated`. The masks are relative
 /// to `query.row_lo` (see [`crate::hybrid::HybridAb::plan_range`]).
 ///
-/// The caller has already validated row and bin bounds.
-pub(crate) fn execute_rect_masks(
+/// The caller has already validated row and bin bounds. `pacer` runs
+/// the caller's check hook between blocks; its first error aborts the
+/// query.
+pub(crate) fn execute_rect_masks<E>(
     index: &AbIndex,
     query: &RectQuery,
     opts: KernelOpts,
     hybrid: Option<&[HybridRangePlan]>,
-) -> (Vec<usize>, QueryStats, u64) {
+    pacer: &mut Pacer<E>,
+) -> Result<(Vec<usize>, QueryStats, u64), E> {
     let mut rows = Vec::new();
     let mut stats = QueryStats::default();
     let mut short_circuits = 0u64;
     if query.row_lo > query.row_hi {
-        return (rows, stats, 0);
+        return Ok((rows, stats, 0));
     }
     if query.ranges.is_empty() {
         // Vacuous AND: every row matches without a single probe, as in
         // the scalar loop.
         rows.extend(query.row_lo..=query.row_hi);
         stats.rows_matched = rows.len();
-        return (rows, stats, 0);
+        return Ok((rows, stats, 0));
     }
     // Hash hoisting: one plan per (attribute, bin) the query probes,
     // shared by every row.
@@ -517,6 +520,7 @@ pub(crate) fn execute_rect_masks(
         let nw = len.div_ceil(64);
         let w0 = first / 64;
         let base = query.row_lo + first;
+        pacer.before(base, len)?;
         // `alive`: rows the flat AB still admits. `hyb`: rows the
         // exact tier still admits (equal to `alive` without a tier).
         let mut alive = [0u64; MAX_BLOCK_WORDS];
@@ -573,7 +577,7 @@ pub(crate) fn execute_rect_masks(
         plan.flush();
     }
     obs::counter!("kernel.batches").add(blocks);
-    (rows, stats, short_circuits)
+    Ok((rows, stats, short_circuits))
 }
 
 // ---------------------------------------------------------------------------

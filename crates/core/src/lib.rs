@@ -63,7 +63,6 @@
 
 pub mod analysis;
 pub mod blocked;
-pub mod bloom;
 pub mod builder;
 pub mod config;
 pub mod counting;
@@ -82,7 +81,6 @@ pub use analysis::{
     optimal_k, precision, AbParams, Level, LevelSizes,
 };
 pub use blocked::BlockedAb;
-pub use bloom::BloomFilter;
 pub use builder::{AbPipeline, AbPipelineBuilder};
 pub use config::{AbConfig, Sizing};
 pub use counting::CountingAb;
@@ -101,4 +99,4 @@ pub use io::{
 };
 pub use level::{shard_ranges, AbIndex, AttributeMeta};
 pub use planner::{calibrate, plan, plan_descent, CostModel, Engine};
-pub use query::{Cell, PrecisionStats, QueryError, QueryStats};
+pub use query::{no_cancel, Cell, PrecisionStats, QueryError, QueryStats};

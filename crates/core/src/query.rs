@@ -14,7 +14,6 @@
 //! 100% recall; precision is evaluated against the exact index via
 //! [`PrecisionStats`].
 
-use crate::hier::HierAb;
 use crate::hybrid::HybridAb;
 use crate::kernel::{HierMode, HybridMode, KernelKind, KernelOpts};
 use crate::level::AbIndex;
@@ -114,6 +113,40 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
+/// The check hook for callers that never cancel:
+/// `index.execute(&query, opts, no_cancel)`.
+pub fn no_cancel() -> Result<(), QueryError> {
+    Ok(())
+}
+
+/// Rows [`AbIndex::execute`] evaluates at most between two calls of
+/// its check hook. Small enough that cancellation takes effect within
+/// tens of microseconds, large enough that the hook's cost is noise.
+const CHECK_ROWS: usize = 512;
+
+/// Paces the caller's check hook over the rows a rect query
+/// evaluates, in any order of ascending row intervals.
+pub(crate) struct Pacer<'a, E> {
+    check: &'a mut dyn FnMut() -> Result<(), E>,
+    /// The first row past the window the last call covers.
+    until: usize,
+}
+
+impl<E> Pacer<'_, E> {
+    /// Call before evaluating rows `at..at + len` (`len` ≤
+    /// `CHECK_ROWS`): runs the hook when they reach past the window
+    /// the last call opened, so at most `CHECK_ROWS` evaluated rows
+    /// separate two calls.
+    #[inline]
+    pub(crate) fn before(&mut self, at: usize, len: usize) -> Result<(), E> {
+        if at + len > self.until {
+            (self.check)()?;
+            self.until = at + CHECK_ROWS;
+        }
+        Ok(())
+    }
+}
+
 impl AbIndex {
     /// Figure 5: evaluates an arbitrary cell subset, returning one
     /// boolean per cell in query order. O(c·k) where `c = cells.len()`.
@@ -205,90 +238,72 @@ impl AbIndex {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range rows or bins; use
-    /// [`Self::try_execute_rect`] for a typed error instead.
+    /// Panics on out-of-range rows or bins; use [`Self::execute`] for
+    /// a typed error instead.
     pub fn execute_rect(&self, query: &RectQuery) -> Vec<usize> {
-        self.execute_rect_with_stats(query).0
-    }
-
-    /// [`Self::execute_rect`] plus probe-count statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or bins; use
-    /// [`Self::try_execute_rect_with_stats`] for a typed error instead.
-    pub fn execute_rect_with_stats(&self, query: &RectQuery) -> (Vec<usize>, QueryStats) {
-        match self.try_execute_rect_with_stats(query) {
-            Ok(r) => r,
+        match self.execute(query, KernelOpts::default(), no_cancel) {
+            Ok((rows, _)) => rows,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Fallible [`Self::execute_rect`]: returns a [`QueryError`] for
-    /// out-of-range rows or bins instead of panicking.
-    pub fn try_execute_rect(&self, query: &RectQuery) -> Result<Vec<usize>, QueryError> {
-        self.try_execute_rect_with_stats(query)
-            .map(|(rows, _)| rows)
-    }
-
-    /// Fallible [`Self::execute_rect_with_stats`]. Rejected queries
-    /// count into `ab.query.rejected`; executed ones flush their
-    /// [`QueryStats`] into the `ab.query.*` counters once, so the
-    /// registry totals equal the sum of the returned stats exactly.
-    /// Runs on the default (batched) kernel.
-    pub fn try_execute_rect_with_stats(
-        &self,
-        query: &RectQuery,
-    ) -> Result<(Vec<usize>, QueryStats), QueryError> {
-        self.try_execute_rect_with_stats_kernel(query, KernelKind::default())
-    }
-
-    /// [`Self::try_execute_rect`] on an explicit probe engine.
-    pub fn try_execute_rect_with_kernel(
-        &self,
-        query: &RectQuery,
-        kernel: KernelKind,
-    ) -> Result<Vec<usize>, QueryError> {
-        self.try_execute_rect_with_stats_kernel(query, kernel)
-            .map(|(rows, _)| rows)
-    }
-
-    /// [`Self::try_execute_rect`] with full kernel options.
+    /// [`Self::execute`] with [`no_cancel`], minus the stats.
     pub fn try_execute_rect_with_opts(
         &self,
         query: &RectQuery,
         opts: KernelOpts,
     ) -> Result<Vec<usize>, QueryError> {
-        self.try_execute_rect_with_stats_opts(query, opts)
-            .map(|(rows, _)| rows)
+        self.execute(query, opts, no_cancel).map(|(rows, _)| rows)
     }
 
-    /// [`Self::try_execute_rect_with_stats`] on an explicit probe
-    /// engine. Every kernel returns bit-identical rows and
-    /// [`QueryStats`] (the differential tests in
-    /// `tests/kernel_differential.rs` enforce this); only the memory
-    /// access schedule differs.
+    /// [`Self::execute`] on `kernel` with [`no_cancel`].
     pub fn try_execute_rect_with_stats_kernel(
         &self,
         query: &RectQuery,
         kernel: KernelKind,
     ) -> Result<(Vec<usize>, QueryStats), QueryError> {
-        self.try_execute_rect_with_stats_opts(query, kernel.into())
+        self.execute(query, kernel.into(), no_cancel)
     }
 
-    /// [`Self::try_execute_rect_with_stats`] with full kernel options
-    /// (engine and mask-block policy).
+    /// [`Self::execute`] with [`no_cancel`].
     pub fn try_execute_rect_with_stats_opts(
         &self,
         query: &RectQuery,
         opts: KernelOpts,
     ) -> Result<(Vec<usize>, QueryStats), QueryError> {
+        self.execute(query, opts, no_cancel)
+    }
+
+    /// Figure 7, the one rectangular-query implementation: validates
+    /// the query, resolves hierarchical pruning and the exact tier from
+    /// `opts`, and runs the probe engine over the surviving rows.
+    /// Every engine returns bit-identical rows and [`QueryStats`] (the
+    /// differential tests in `tests/kernel_differential.rs` enforce
+    /// this); only the memory access schedule differs.
+    ///
+    /// `check` is the caller's cancellation hook. It runs before the
+    /// first row is probed and again at least once per 512 evaluated
+    /// rows (a query with no attribute ranges probes nothing and may
+    /// never call it). The first error it returns aborts the query and
+    /// is returned as is. Pass [`no_cancel`] to run to completion.
+    ///
+    /// Rejected queries count into `ab.query.rejected`; completed ones
+    /// flush their [`QueryStats`] into the `ab.query.*` counters once,
+    /// so the registry totals equal the sum of the returned stats
+    /// exactly. Aborted queries flush nothing.
+    pub fn execute<E: From<QueryError>>(
+        &self,
+        query: &RectQuery,
+        opts: KernelOpts,
+        mut check: impl FnMut() -> Result<(), E>,
+    ) -> Result<(Vec<usize>, QueryStats), E> {
         if query.row_hi >= self.num_rows() {
             obs::counter!("ab.query.rejected").inc();
             return Err(QueryError::RowOutOfRange {
                 row: query.row_hi,
                 num_rows: self.num_rows(),
-            });
+            }
+            .into());
         }
         for r in &query.ranges {
             let card = self.attributes()[r.attribute].cardinality;
@@ -298,7 +313,8 @@ impl AbIndex {
                     attribute: r.attribute,
                     bin: r.hi,
                     cardinality: card,
-                });
+                }
+                .into());
             }
         }
         let _timer = obs::span("ab.query.us");
@@ -336,11 +352,50 @@ impl AbIndex {
         if hybrid.is_some() {
             obs::counter!("hybrid.queries").inc();
         }
-        let (rows, stats, short_circuits) = match (hier, hybrid) {
-            (Some(h), hy) => self.execute_rect_hier(h, hy, query, opts),
-            (None, Some(hy)) => self.execute_rect_hybrid(hy, query, opts),
-            (None, None) => self.execute_rect_flat(query, opts),
+        // The pyramid walk leaves ascending, disjoint row intervals, so
+        // concatenating their rows keeps the flat scan's order. Level-AB
+        // probes are not counted into `cells_probed` — that field keeps
+        // meaning "base-AB cell probes", so pruning can only decrease it.
+        let mut stats = QueryStats::default();
+        let intervals = match hier {
+            None => vec![(query.row_lo, query.row_hi)],
+            Some(h) => {
+                let prune = h.prune(query);
+                obs::counter!("hier.regions_pruned").add(prune.regions_pruned);
+                obs::counter!("hier.rows_skipped").add(prune.rows_skipped);
+                stats.regions_pruned = prune.regions_pruned;
+                stats.rows_skipped = prune.rows_skipped;
+                prune.intervals
+            }
         };
+        let mut pacer = Pacer {
+            check: &mut check,
+            until: 0,
+        };
+        let mut rows = Vec::new();
+        let mut short_circuits = 0u64;
+        for (lo, hi) in intervals {
+            // A literal, not `RectQuery::new`: a degenerate query
+            // (`row_lo > row_hi`) reaches the kernels, which return
+            // nothing for it.
+            let sub = RectQuery {
+                ranges: query.ranges.clone(),
+                row_lo: lo,
+                row_hi: hi,
+            };
+            let (r, s, c) = self.execute_rect_interval(hybrid, &sub, opts, &mut pacer)?;
+            // Moves, rather than copies, a single interval's answer.
+            if rows.is_empty() {
+                rows = r;
+            } else {
+                rows.extend(r);
+            }
+            stats.cells_probed += s.cells_probed;
+            stats.bits_read += s.bits_read;
+            stats.fp_rows_eliminated += s.fp_rows_eliminated;
+            short_circuits += c;
+        }
+        stats.rows_matched = rows.len();
         if tspan.enabled() {
             tspan.annotate("cells_probed", stats.cells_probed);
             tspan.annotate("bits_read", stats.bits_read);
@@ -362,61 +417,26 @@ impl AbIndex {
         Ok((rows, stats))
     }
 
-    /// One flat (un-pruned) kernel dispatch: the engine match shared
-    /// by the direct path and each surviving hier sub-interval (which
-    /// must not re-enter the public path — stats and trace counters
-    /// flush exactly once per query).
-    fn execute_rect_flat(
+    /// One row interval that survived pruning (the whole query when
+    /// hier is off): the exact tier when it engaged, else the engine
+    /// match.
+    fn execute_rect_interval<E>(
         &self,
-        query: &RectQuery,
-        opts: KernelOpts,
-    ) -> (Vec<usize>, QueryStats, u64) {
-        match opts.kernel {
-            KernelKind::Scalar => {
-                obs::counter!("kernel.scalar_fallbacks").inc();
-                self.execute_rect_scalar(query)
-            }
-            KernelKind::Batched => crate::kernel::execute_rect_masks(self, query, opts, None),
-        }
-    }
-
-    /// The pruned execution path: walk the pyramid coarse-to-fine,
-    /// then run the flat kernel over each surviving row interval and
-    /// concatenate (intervals are ascending and disjoint, so rows come
-    /// out in the flat scan's order). Level-AB probes are not counted
-    /// into `cells_probed` — that field keeps meaning "base-AB cell
-    /// probes", so pruning can only decrease it.
-    fn execute_rect_hier(
-        &self,
-        hier: &HierAb,
         hybrid: Option<&HybridAb>,
         query: &RectQuery,
         opts: KernelOpts,
-    ) -> (Vec<usize>, QueryStats, u64) {
-        let prune = hier.prune(query);
-        obs::counter!("hier.regions_pruned").add(prune.regions_pruned);
-        obs::counter!("hier.rows_skipped").add(prune.rows_skipped);
-        let mut rows = Vec::new();
-        let mut stats = QueryStats {
-            regions_pruned: prune.regions_pruned,
-            rows_skipped: prune.rows_skipped,
-            ..QueryStats::default()
-        };
-        let mut short_circuits = 0u64;
-        for &(lo, hi) in &prune.intervals {
-            let sub = RectQuery::new(query.ranges.clone(), lo, hi);
-            let (r, s, c) = match hybrid {
-                Some(hy) => self.execute_rect_hybrid(hy, &sub, opts),
-                None => self.execute_rect_flat(&sub, opts),
-            };
-            rows.extend(r);
-            stats.cells_probed += s.cells_probed;
-            stats.bits_read += s.bits_read;
-            stats.fp_rows_eliminated += s.fp_rows_eliminated;
-            short_circuits += c;
+        pacer: &mut Pacer<E>,
+    ) -> Result<(Vec<usize>, QueryStats, u64), E> {
+        match (hybrid, opts.kernel) {
+            (Some(hy), _) => self.execute_rect_hybrid(hy, query, opts, pacer),
+            (None, KernelKind::Scalar) => {
+                obs::counter!("kernel.scalar_fallbacks").inc();
+                self.execute_rect_scalar(query, pacer)
+            }
+            (None, KernelKind::Batched) => {
+                crate::kernel::execute_rect_masks(self, query, opts, None, pacer)
+            }
         }
-        stats.rows_matched = rows.len();
-        (rows, stats, short_circuits)
     }
 
     /// The exact-tier execution path for one row interval. Backed bins
@@ -436,21 +456,22 @@ impl AbIndex {
     /// `QueryStats::fp_rows_eliminated`, at zero extra probe cost.
     /// `cells_probed`/`bits_read` keep meaning "base-AB cell probes":
     /// container lookups count as neither.
-    fn execute_rect_hybrid(
+    fn execute_rect_hybrid<E>(
         &self,
         hy: &HybridAb,
         query: &RectQuery,
         opts: KernelOpts,
-    ) -> (Vec<usize>, QueryStats, u64) {
+        pacer: &mut Pacer<E>,
+    ) -> Result<(Vec<usize>, QueryStats, u64), E> {
         let mut stats = QueryStats::default();
         if query.row_lo > query.row_hi {
-            return (Vec::new(), stats, 0);
+            return Ok((Vec::new(), stats, 0));
         }
         if query.ranges.is_empty() {
             // Vacuous AND: every row matches, identical to flat.
             let rows: Vec<usize> = (query.row_lo..=query.row_hi).collect();
             stats.rows_matched = rows.len();
-            return (rows, stats, 0);
+            return Ok((rows, stats, 0));
         }
         let (row_lo, row_hi) = (query.row_lo, query.row_hi);
         let plans: Vec<_> = query
@@ -458,35 +479,28 @@ impl AbIndex {
             .iter()
             .map(|r| hy.plan_range(r.attribute, r.lo, r.hi, row_lo, row_hi))
             .collect();
+        let mut rows = Vec::new();
 
         if plans.iter().all(|p| p.unbacked.is_empty()) {
             // Fully backed: word-parallel AND across ranges, for both
             // the exact verdict and the flat-AB shadow.
-            let mut exact = plans[0].exact.clone();
-            let mut flat = plans[0].flat.clone();
-            for p in &plans[1..] {
-                for (d, s) in exact.iter_mut().zip(&p.exact) {
-                    *d &= s;
+            let mut flat_rows = 0u64;
+            for w in 0..plans[0].exact.len() {
+                pacer.before(row_lo + w * 64, 64)?;
+                let (mut exact, mut flat) = (plans[0].exact[w], plans[0].flat[w]);
+                for p in &plans[1..] {
+                    exact &= p.exact[w];
+                    flat &= p.flat[w];
                 }
-                for (d, s) in flat.iter_mut().zip(&p.flat) {
-                    *d &= s;
-                }
+                flat_rows += u64::from(flat.count_ones());
+                crate::kernel::drain_rows(&[exact], row_lo + w * 64, &mut rows);
             }
-            let mut rows = Vec::new();
-            for (w, word) in exact.iter().enumerate() {
-                let mut word = *word;
-                while word != 0 {
-                    rows.push(row_lo + w * 64 + word.trailing_zeros() as usize);
-                    word &= word - 1;
-                }
-            }
-            let flat_rows: u64 = flat.iter().map(|w| w.count_ones() as u64).sum();
             stats.rows_matched = rows.len();
             stats.fp_rows_eliminated = flat_rows - rows.len() as u64;
-            return (rows, stats, 0);
+            return Ok((rows, stats, 0));
         }
         if opts.kernel == KernelKind::Batched {
-            return crate::kernel::execute_rect_masks(self, query, opts, Some(&plans));
+            return crate::kernel::execute_rect_masks(self, query, opts, Some(&plans), pacer);
         }
 
         // Mixed: container verdicts for backed bins, Figure 7 probing
@@ -494,9 +508,9 @@ impl AbIndex {
         // what the AB alone would have concluded; `exact ⊆ flat`
         // per range makes `!flat_and` imply `!hyb_and`, so the AND
         // short-circuit stays safe for both.
-        let mut rows = Vec::new();
         let mut short_circuits = 0u64;
         for row in row_lo..=row_hi {
+            pacer.before(row, 1)?;
             let i = row - row_lo;
             let (mut hyb_and, mut flat_and) = (true, true);
             for (range, plan) in query.ranges.iter().zip(&plans) {
@@ -529,17 +543,22 @@ impl AbIndex {
             }
         }
         stats.rows_matched = rows.len();
-        (rows, stats, short_circuits)
+        Ok((rows, stats, short_circuits))
     }
 
     /// The reference row-at-a-time Figure 7 loop, kept verbatim as the
     /// semantic ground truth the batched kernel is differentially
     /// tested against. Returns `(rows, stats, or_short_circuits)`.
-    fn execute_rect_scalar(&self, query: &RectQuery) -> (Vec<usize>, QueryStats, u64) {
+    fn execute_rect_scalar<E>(
+        &self,
+        query: &RectQuery,
+        pacer: &mut Pacer<E>,
+    ) -> Result<(Vec<usize>, QueryStats, u64), E> {
         let mut rows = Vec::new();
         let mut stats = QueryStats::default();
         let mut short_circuits = 0u64;
         for row in query.row_lo..=query.row_hi {
+            pacer.before(row, 1)?;
             let mut andpart = true;
             for range in &query.ranges {
                 let mut orpart = false;
@@ -563,7 +582,7 @@ impl AbIndex {
             }
         }
         stats.rows_matched = rows.len();
-        (rows, stats, short_circuits)
+        Ok((rows, stats, short_circuits))
     }
 
     /// Figure 7 with an explicit row list: the paper's query definition
@@ -767,7 +786,7 @@ mod tests {
         let t = table();
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(16));
         let q = RectQuery::new(vec![AttrRange::new(0, 0, 2)], 0, 7);
-        let (rows, stats) = idx.execute_rect_with_stats(&q);
+        let (rows, stats) = idx.execute(&q, KernelOpts::default(), no_cancel).unwrap();
         // Every row matches some bin of A (full range): 8 matches.
         assert_eq!(rows.len(), 8);
         assert_eq!(stats.rows_matched, 8);
@@ -834,38 +853,29 @@ mod tests {
     fn try_execute_returns_typed_errors() {
         let t = table();
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute));
-        assert_eq!(
-            idx.try_execute_rect(&RectQuery::new(vec![], 0, 8)),
-            Err(QueryError::RowOutOfRange {
-                row: 8,
-                num_rows: 8
-            })
-        );
-        assert_eq!(
-            idx.try_execute_rect(&RectQuery::new(vec![AttrRange::new(1, 0, 5)], 0, 7)),
-            Err(QueryError::BinOutOfRange {
-                attribute: 1,
-                bin: 5,
-                cardinality: 3
-            })
-        );
+        let run = |q| {
+            idx.execute(&q, KernelOpts::default(), no_cancel)
+                .map(|(rows, _)| rows)
+        };
+        let bad_row = QueryError::RowOutOfRange {
+            row: 8,
+            num_rows: 8,
+        };
+        let bad_bin = QueryError::BinOutOfRange {
+            attribute: 1,
+            bin: 5,
+            cardinality: 3,
+        };
+        assert_eq!(run(RectQuery::new(vec![], 0, 8)), Err(bad_row));
+        let q = RectQuery::new(vec![AttrRange::new(1, 0, 5)], 0, 7);
+        assert_eq!(run(q), Err(bad_bin));
         // The error messages keep the historical "out of range" phrase.
-        for e in [
-            QueryError::RowOutOfRange {
-                row: 8,
-                num_rows: 8,
-            },
-            QueryError::BinOutOfRange {
-                attribute: 1,
-                bin: 5,
-                cardinality: 3,
-            },
-        ] {
+        for e in [bad_row, bad_bin] {
             assert!(e.to_string().contains("out of range"), "{e}");
         }
         // And a valid query still goes through the fallible path.
         let q = RectQuery::new(vec![AttrRange::new(0, 0, 2)], 0, 7);
-        assert_eq!(idx.try_execute_rect(&q).unwrap(), idx.execute_rect(&q));
+        assert_eq!(run(q.clone()).unwrap(), idx.execute_rect(&q));
     }
 
     #[cfg(not(feature = "obs-off"))]
@@ -875,8 +885,9 @@ mod tests {
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute));
         let c = obs::global().counter("ab.query.rejected");
         let before = c.get();
-        let _ = idx.try_execute_rect(&RectQuery::new(vec![], 0, 999));
-        let _ = idx.try_execute_rect(&RectQuery::new(vec![AttrRange::new(0, 0, 9)], 0, 7));
+        let run = |q| idx.execute(&q, KernelOpts::default(), no_cancel);
+        let _ = run(RectQuery::new(vec![], 0, 999));
+        let _ = run(RectQuery::new(vec![AttrRange::new(0, 0, 9)], 0, 7));
         assert!(c.get() >= before + 2);
     }
 
@@ -888,7 +899,7 @@ mod tests {
             0,
             1999,
         );
-        let (_, stats) = idx.execute_rect_with_stats(&q);
+        let (_, stats) = idx.execute(&q, KernelOpts::default(), no_cancel).unwrap();
         assert!(stats.bits_read >= stats.cells_probed, "≥1 bit per probe");
         assert!(
             stats.bits_read <= stats.cells_probed * idx.max_k(),
@@ -1002,15 +1013,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn hybrid_mixed_backed_and_unbacked_ranges_agree_with_per_row_truth() {
+    /// Exact tier backing attribute 0 only (attribute 1 stays on the
+    /// AB), so two-attribute rects take the mixed path.
+    fn mixed_fixture() -> (bitmap::BinnedTable, AbIndex) {
         use crate::hybrid::HybridConfig;
-        use crate::kernel::{HybridMode, KernelOpts};
-        // Back only attribute 0 (attribute 1 stays on the AB) by
-        // building the tier against a single-column view, then
-        // re-attaching: simplest is a config that backs nothing and a
-        // manual attach — instead, build with min_density 0 and strip
-        // bins of attribute 1.
         let t = BinnedTable::new(vec![
             BinnedColumn::new("a", (0..2048u32).map(|i| i / 256).collect(), 8),
             BinnedColumn::new("b", (0..2048u32).map(|i| (i * 7) % 8).collect(), 8),
@@ -1043,6 +1049,13 @@ mod tests {
             full.total_bins(),
             partial,
         ));
+        (t, idx)
+    }
+
+    #[test]
+    fn hybrid_mixed_backed_and_unbacked_ranges_agree_with_per_row_truth() {
+        use crate::kernel::{HybridMode, KernelOpts};
+        let (t, idx) = mixed_fixture();
         for kernel in [KernelKind::Scalar, KernelKind::Batched] {
             let q = RectQuery::new(
                 vec![AttrRange::new(0, 1, 3), AttrRange::new(1, 2, 6)],
@@ -1165,6 +1178,69 @@ mod tests {
             "backed cells answer exactly: no false positives"
         );
         let _ = t;
+    }
+
+    /// The check hook's contract on every rect path: an uncancelled
+    /// query calls it at least once per 512 evaluated rows, and a hook
+    /// failing on its n-th call aborts the query with exactly that
+    /// error, calling it no further.
+    #[test]
+    fn execute_paces_and_obeys_the_check_hook() {
+        use crate::hier::{HierConfig, HierLevelSpec};
+        use crate::kernel::{HierMode, HybridMode};
+        // A sentinel error no real query produces, naming the call.
+        let stop = |n| QueryError::RowOutOfRange {
+            row: n,
+            num_rows: 0,
+        };
+        let (_, plain) = big_index(Level::PerAttribute);
+        let (_, mut hybrid) = hybrid_fixture();
+        hybrid.ensure_hier(&HierConfig {
+            levels: vec![HierLevelSpec {
+                row_span: 64,
+                bin_group: 2,
+            }],
+        });
+        let (_, mixed) = mixed_fixture();
+        let two = vec![AttrRange::new(0, 2, 5), AttrRange::new(1, 0, 3)];
+        let mut cases = Vec::new();
+        for kernel in [KernelKind::Scalar, KernelKind::Batched] {
+            let both = KernelOpts::new(kernel)
+                .with_hier(HierMode::Force)
+                .with_hybrid(HybridMode::Force);
+            cases.push((&plain, KernelOpts::new(kernel), two.clone()));
+            cases.push((&hybrid, both, two.clone()));
+            cases.push((&hybrid, both, vec![AttrRange::new(0, 1, 2)]));
+            cases.push((&mixed, both, two.clone()));
+        }
+        for (idx, opts, ranges) in cases {
+            let q = RectQuery::new(ranges, 3, 1999);
+            let mut calls = 0usize;
+            let (_, stats) = idx
+                .execute(&q, opts, || {
+                    calls += 1;
+                    no_cancel()
+                })
+                .unwrap();
+            let evaluated = q.num_rows() - stats.rows_skipped as usize;
+            assert!(
+                calls >= evaluated.div_ceil(512),
+                "{opts:?}: {calls} checks over {evaluated} rows"
+            );
+            for n in 1..=calls {
+                let mut seen = 0usize;
+                let res = idx.execute(&q, opts, || {
+                    seen += 1;
+                    if seen == n {
+                        Err(stop(n))
+                    } else {
+                        Ok(())
+                    }
+                });
+                assert_eq!(res, Err(stop(n)), "{opts:?}");
+                assert_eq!(seen, n, "{opts:?}: hook called after it failed");
+            }
+        }
     }
 
     #[test]

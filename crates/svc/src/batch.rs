@@ -11,72 +11,64 @@ use crate::shard::ShardedIndex;
 use ab::Cell;
 use bitmap::RectQuery;
 
-/// The cells of one shard's batch: `(position in the original request,
-/// cell with a shard-local row)`.
-#[derive(Clone, Debug)]
-pub struct ShardCells {
-    /// Shard index into [`ShardedIndex::shards`].
-    pub shard: usize,
-    /// Probes for this shard, rows already translated to local.
-    pub cells: Vec<(usize, Cell)>,
+/// Collects `(shard id, item)` pairs into one `(shard id, items)` slot
+/// per shard that received any, in shard order; items keep their
+/// arrival order.
+fn group_by_shard<T>(
+    num_shards: usize,
+    items: impl Iterator<Item = (usize, T)>,
+) -> Vec<(usize, Vec<T>)> {
+    let mut groups: Vec<Vec<T>> = (0..num_shards).map(|_| Vec::new()).collect();
+    for (sid, item) in items {
+        groups[sid].push(item);
+    }
+    let batch: Vec<(usize, Vec<T>)> = groups
+        .into_iter()
+        .enumerate()
+        .filter(|(_, g)| !g.is_empty())
+        .collect();
+    obs::histogram!("svc.batch.shards").record(batch.len() as u64);
+    batch
 }
 
-/// The rectangular queries of one shard's batch: `(query index in the
-/// original batch, query with shard-local rows)`.
-#[derive(Clone, Debug)]
-pub struct ShardRects {
-    /// Shard index into [`ShardedIndex::shards`].
-    pub shard: usize,
-    /// Query parts for this shard, row intervals already local.
-    pub queries: Vec<(usize, RectQuery)>,
-}
-
-/// Partitions a cell-subset query by owning shard. Cells arrive in
-/// request order, so each shard's list stays sorted by original
-/// position. Shards with no cells produce no entry.
+/// Partitions a cell-subset query by owning shard: each shard's slot
+/// lists `(position in the original request, cell with a shard-local
+/// row)`, sorted by position.
 ///
 /// # Panics
 ///
 /// Panics if any cell's row is out of range (validate first).
-pub fn group_cells_by_shard(index: &ShardedIndex, cells: &[Cell]) -> Vec<ShardCells> {
-    let mut groups: Vec<Option<ShardCells>> = vec![None; index.num_shards()];
-    for (pos, cell) in cells.iter().enumerate() {
-        let sid = index.shard_of_row(cell.row);
-        let start = index.shards()[sid].start();
-        let local = Cell::new(cell.row - start, cell.attribute, cell.bin);
-        groups[sid]
-            .get_or_insert_with(|| ShardCells {
-                shard: sid,
-                cells: Vec::new(),
-            })
-            .cells
-            .push((pos, local));
-    }
-    let batch: Vec<ShardCells> = groups.into_iter().flatten().collect();
-    obs::histogram!("svc.batch.shards").record(batch.len() as u64);
-    batch
+pub fn group_cells_by_shard(
+    index: &ShardedIndex,
+    cells: &[Cell],
+) -> Vec<(usize, Vec<(usize, Cell)>)> {
+    group_by_shard(
+        index.num_shards(),
+        cells.iter().enumerate().map(|(pos, cell)| {
+            let sid = index.shard_of_row(cell.row);
+            let row = cell.row - index.shards()[sid].start();
+            (sid, (pos, Cell::new(row, cell.attribute, cell.bin)))
+        }),
+    )
 }
 
 /// Partitions a batch of rectangular queries by shard: each query is
-/// split with [`ShardedIndex::split_rect`] and its parts are appended
-/// to the owning shards' lists. One pool job then serves every part
-/// that landed on its shard.
-pub fn group_rects_by_shard(index: &ShardedIndex, queries: &[RectQuery]) -> Vec<ShardRects> {
-    let mut groups: Vec<Option<ShardRects>> = vec![None; index.num_shards()];
-    for (qidx, q) in queries.iter().enumerate() {
-        for (sid, local) in index.split_rect(q) {
-            groups[sid]
-                .get_or_insert_with(|| ShardRects {
-                    shard: sid,
-                    queries: Vec::new(),
-                })
-                .queries
-                .push((qidx, local));
-        }
-    }
-    let batch: Vec<ShardRects> = groups.into_iter().flatten().collect();
-    obs::histogram!("svc.batch.shards").record(batch.len() as u64);
-    batch
+/// split with [`ShardedIndex::split_rect`] and each shard's slot lists
+/// `(query index in the batch, query with shard-local rows)`. One pool
+/// job then serves every part that landed on its shard.
+pub fn group_rects_by_shard(
+    index: &ShardedIndex,
+    queries: &[RectQuery],
+) -> Vec<(usize, Vec<(usize, RectQuery)>)> {
+    group_by_shard(
+        index.num_shards(),
+        queries.iter().enumerate().flat_map(|(qidx, q)| {
+            index
+                .split_rect(q)
+                .into_iter()
+                .map(move |(sid, local)| (sid, (qidx, local)))
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -109,16 +101,14 @@ mod tests {
             Cell::new(1, 0, 1),  // shard 0
         ];
         let groups = group_cells_by_shard(&idx, &cells);
-        assert_eq!(groups.len(), 3);
-        let shard0 = groups.iter().find(|g| g.shard == 0).unwrap();
         assert_eq!(
-            shard0.cells,
-            vec![(1, Cell::new(0, 0, 0)), (3, Cell::new(1, 0, 1))]
+            groups,
+            vec![
+                (0, vec![(1, Cell::new(0, 0, 0)), (3, Cell::new(1, 0, 1))]),
+                (1, vec![(2, Cell::new(1, 0, 2))]),
+                (3, vec![(0, Cell::new(24, 0, 3))]),
+            ]
         );
-        let shard1 = groups.iter().find(|g| g.shard == 1).unwrap();
-        assert_eq!(shard1.cells, vec![(2, Cell::new(1, 0, 2))]);
-        let shard3 = groups.iter().find(|g| g.shard == 3).unwrap();
-        assert_eq!(shard3.cells, vec![(0, Cell::new(24, 0, 3))]);
     }
 
     #[test]
@@ -130,17 +120,18 @@ mod tests {
         ];
         let groups = group_rects_by_shard(&idx, &qs);
         assert_eq!(groups.len(), 4);
-        let shard1 = groups.iter().find(|g| g.shard == 1).unwrap();
-        assert_eq!(shard1.queries.len(), 2);
-        assert_eq!(shard1.queries[0].0, 0);
+        let (sid, shard1) = &groups[1];
+        assert_eq!((*sid, shard1.len(), shard1[0].0), (1, 2, 0));
         assert_eq!(
-            shard1.queries[1],
+            shard1[1],
             (1, RectQuery::new(vec![AttrRange::new(0, 2, 3)], 5, 15))
         );
-        let shard2 = groups.iter().find(|g| g.shard == 2).unwrap();
         assert_eq!(
-            shard2.queries,
-            vec![(0, RectQuery::new(vec![AttrRange::new(0, 0, 1)], 0, 24))]
+            groups[2],
+            (
+                2,
+                vec![(0, RectQuery::new(vec![AttrRange::new(0, 0, 1)], 0, 24))]
+            )
         );
     }
 

@@ -1,10 +1,11 @@
 //! Deadlines and cooperative cancellation.
 //!
 //! A request carries a [`RequestCtx`]: an absolute [`Deadline`] plus a
-//! shared [`CancelToken`]. Shard tasks call [`RequestCtx::check`]
-//! between row chunks (see [`crate::service::CHUNK_ROWS`]), so an
-//! expired or cancelled request stops burning worker time within one
-//! chunk instead of running to completion.
+//! shared [`CancelToken`]. A rect shard job hands [`RequestCtx::check`]
+//! to core as the check hook of [`ab::AbIndex::execute`], which calls
+//! it at least once per 512 evaluated rows, so an expired or cancelled
+//! request stops burning worker time within a few hundred rows instead
+//! of running to completion.
 
 use crate::error::SvcError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,7 +123,7 @@ impl RequestCtx {
         self.cancel.is_cancelled()
     }
 
-    /// The between-chunks liveness check: `Err(Cancelled)` once the
+    /// The mid-query liveness check: `Err(Cancelled)` once the
     /// flag is raised, `Err(DeadlineExceeded)` once the deadline
     /// passes, `Ok(())` otherwise.
     pub fn check(&self) -> Result<(), SvcError> {

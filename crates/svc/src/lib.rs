@@ -16,7 +16,7 @@
 //! * [`batch`] — grouping a request's probes by owning shard so each
 //!   shard gets one pool job, not one per probe;
 //! * [`deadline`] — per-request deadlines and cooperative cancellation,
-//!   checked between [`CHUNK_ROWS`]-row chunks;
+//!   checked by core's rect kernel at least once per 512 rows;
 //! * [`service`] — the [`Service`] façade tying the above together;
 //! * [`counting`] — a sharded, lock-per-shard [`CountingService`] for
 //!   concurrent inserts/deletes with the no-false-negative guarantee;
@@ -79,7 +79,7 @@ pub mod service;
 pub mod shard;
 pub mod telemetry;
 
-pub use batch::{group_cells_by_shard, group_rects_by_shard, ShardCells, ShardRects};
+pub use batch::{group_cells_by_shard, group_rects_by_shard};
 pub use chaos::{ChaosSegmentIo, Fault, FaultPlan, FaultRule};
 pub use counting::CountingService;
 pub use deadline::{CancelToken, Deadline, RequestCtx};
@@ -88,6 +88,6 @@ pub use error::SvcError;
 pub use pool::WorkerPool;
 pub use retry::{retry, retry_traced, RetryPolicy};
 pub use scrub::{scrub_pass, PassOutcome, RepairSource, Scrubber, StoreState, StoreStatus};
-pub use service::{Service, SvcConfig, CHUNK_ROWS};
+pub use service::{Service, SvcConfig};
 pub use shard::{Shard, ShardedIndex};
 pub use telemetry::{HybridStatus, TelemetryServer};

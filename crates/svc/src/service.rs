@@ -3,13 +3,17 @@
 //! A [`Service`] owns a [`ShardedIndex`] (behind an `Arc`) and a
 //! [`WorkerPool`]. Each request is validated once against the global
 //! schema, split into per-shard parts, and fanned out as **one pool
-//! job per shard** (batching — see [`crate::batch`]). Shard jobs
-//! execute their rows in [`CHUNK_ROWS`]-sized chunks, calling
-//! [`RequestCtx::check`] between chunks so deadlines and cancellation
-//! take effect mid-query. The collector waits with the request's
-//! remaining deadline budget; a miss cancels the in-flight shard work
-//! and discards partial results (a partial merge would break the AB's
-//! no-false-negative contract).
+//! job per shard** (batching — see [`crate::batch`]). A rect shard job
+//! is one [`ab::AbIndex::execute`] call with [`RequestCtx::check`] as
+//! its check hook, which core runs at least once per 512 evaluated
+//! rows, so deadlines and cancellation take effect mid-query. The
+//! collector waits with the request's remaining deadline budget; a
+//! miss cancels the in-flight shard work and discards partial results
+//! (a partial merge would break the AB's no-false-negative contract).
+//!
+//! All four request kinds (rect, exact WAH rect, cells, batch) share
+//! one fan-out/collect skeleton; each supplies only its shard job, its
+//! answer for a shard it cannot run, and its merge.
 //!
 //! Admission control happens at submission: a full pool queue sheds
 //! the whole request with [`SvcError::Overloaded`] before any shard
@@ -47,11 +51,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Rows a shard job processes between two [`RequestCtx::check`]
-/// calls. Small enough that cancellation latency stays in the tens of
-/// microseconds, large enough that the atomic load is noise.
-pub const CHUNK_ROWS: usize = 512;
-
 /// Service construction parameters.
 #[derive(Clone, Debug)]
 pub struct SvcConfig {
@@ -87,7 +86,7 @@ pub struct SvcConfig {
     /// ([`ab::HierMode::Off`] by default). Anything other than `Off`
     /// attaches a [`ab::HierAb`] pyramid to every shard at build (or
     /// load) time; shard jobs then prune whole row spans before the
-    /// chunked kernel runs. Results stay bit-identical either way.
+    /// kernel runs. Results stay bit-identical either way.
     pub hier: HierMode,
     /// Pyramid geometry used when [`Self::hier`] is not `Off`.
     pub hier_config: HierConfig,
@@ -148,44 +147,51 @@ impl SvcConfig {
     }
 }
 
-/// What one shard job reports back to the request's collector.
-enum ShardOutcome<T> {
-    /// The job ran to completion (successfully or with a typed error).
-    Done(Result<T, SvcError>),
-    /// The job panicked; the shard must be quarantined and its slice
-    /// answered conservatively.
-    Panicked,
-}
-
-/// Runs a shard job body, converting a panic into
-/// [`ShardOutcome::Panicked`] so the collector hears about it instead
-/// of waiting on a message that will never arrive.
-fn shard_outcome<T>(body: impl FnOnce() -> Result<T, SvcError>) -> ShardOutcome<T> {
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(res) => ShardOutcome::Done(res),
-        Err(_) => ShardOutcome::Panicked,
-    }
-}
-
-/// Stamps a shard job's trace span with how the job ended.
-fn annotate_shard_outcome<T>(span: &mut obs::TraceSpan, outcome: &ShardOutcome<T>) {
+/// Stamps a shard job's trace span with how the job ended (`None`:
+/// it panicked).
+fn annotate_shard_outcome<T>(span: &mut obs::TraceSpan, outcome: &Option<Result<T, SvcError>>) {
     if !span.enabled() {
         return;
     }
     match outcome {
-        ShardOutcome::Done(Ok(_)) => span.annotate("outcome", "ok"),
-        ShardOutcome::Done(Err(e)) => {
+        Some(Ok(_)) => span.annotate("outcome", "ok"),
+        Some(Err(e)) => {
             span.annotate("outcome", "error");
             span.annotate("error", error_code(e));
         }
-        ShardOutcome::Panicked => span.annotate("outcome", "panicked"),
+        None => span.annotate("outcome", "panicked"),
     }
 }
 
-/// Every global row a shard-local query part covers — the
-/// conservative ("maybe present") answer for a quarantined shard.
-fn conservative_rows(shard_start: usize, local: &RectQuery) -> Vec<usize> {
-    (shard_start + local.row_lo..=shard_start + local.row_hi).collect()
+/// One request in flight: its context plus the trace and root span
+/// its stages record under.
+struct Req<'a> {
+    ctx: &'a RequestCtx,
+    trace: &'a obs::TraceCtx,
+    root: u64,
+}
+
+impl Req<'_> {
+    /// A stage span directly under the request's root.
+    fn span(&self, name: &'static str) -> obs::TraceSpan {
+        self.trace.span_under(self.root, name)
+    }
+}
+
+/// One shard's part of a rectangular query: a single core
+/// [`ab::AbIndex::execute`] under the request's check hook, with the
+/// matches translated back to global row ids.
+fn shard_rect(
+    shard: &Shard,
+    local: &RectQuery,
+    kernel: KernelOpts,
+    ctx: &RequestCtx,
+) -> Result<Vec<usize>, SvcError> {
+    let (mut rows, _) = shard.index().execute(local, kernel, || ctx.check())?;
+    for r in &mut rows {
+        *r += shard.start();
+    }
+    Ok(rows)
 }
 
 /// A sharded, concurrent query service over an AB index.
@@ -240,20 +246,7 @@ impl Service {
         if cfg.hybrid != HybridMode::Off {
             index.ensure_hybrid(table, &cfg.hybrid_config);
         }
-        let health = Arc::new(ShardHealth::new(index.num_shards()));
-        Service {
-            index: Arc::new(index),
-            pool,
-            default_deadline: cfg.default_deadline,
-            health,
-            chaos: None,
-            kernel: KernelOpts::new(cfg.kernel)
-                .with_batch_rows(cfg.batch_rows)
-                .with_hier(cfg.hier)
-                .with_hybrid(cfg.hybrid),
-            trace_requests: cfg.trace_requests,
-            slow_query: cfg.slow_query,
-        }
+        Self::serve(index, pool, cfg)
     }
 
     /// Wraps an already-built index (e.g. one loaded with
@@ -273,12 +266,16 @@ impl Service {
             // exact/ab split even though no build ran in-process.
             index.record_hybrid_split_counters();
         }
-        let health = Arc::new(ShardHealth::new(index.num_shards()));
+        let pool = WorkerPool::new(cfg.resolved_threads(), cfg.queue_capacity);
+        Self::serve(index, pool, cfg)
+    }
+
+    fn serve(index: ShardedIndex, pool: WorkerPool, cfg: &SvcConfig) -> Self {
         Service {
+            health: Arc::new(ShardHealth::new(index.num_shards())),
             index: Arc::new(index),
-            pool: WorkerPool::new(cfg.resolved_threads(), cfg.queue_capacity),
+            pool,
             default_deadline: cfg.default_deadline,
-            health,
             chaos: None,
             kernel: KernelOpts::new(cfg.kernel)
                 .with_batch_rows(cfg.batch_rows)
@@ -309,12 +306,8 @@ impl Service {
         &self.health
     }
 
-    /// The probe engine this service's shard jobs run on.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel.kernel
-    }
-
-    /// The full kernel options (engine + mask-block policy).
+    /// The kernel options shard jobs run with (engine, mask-block
+    /// policy, hier and hybrid modes).
     pub fn kernel_opts(&self) -> KernelOpts {
         self.kernel
     }
@@ -343,7 +336,10 @@ impl Service {
         Arc::clone(&self.health)
     }
 
-    fn ctx_with_default(&self) -> RequestCtx {
+    /// A fresh [`RequestCtx`] under the service's default deadline
+    /// ([`SvcConfig::default_deadline`]) — the context the plain
+    /// request forms run under.
+    pub fn request_ctx(&self) -> RequestCtx {
         RequestCtx::new(match self.default_deadline {
             Some(budget) => Deadline::within(budget),
             None => Deadline::none(),
@@ -359,7 +355,7 @@ impl Service {
         &self,
         kind: &'static str,
         ctx: &RequestCtx,
-        run: impl FnOnce(&obs::TraceCtx, u64) -> Result<T, SvcError>,
+        run: impl FnOnce(&Req) -> Result<T, SvcError>,
     ) -> Result<T, SvcError> {
         let _timer = obs::span("svc.request_us");
         obs::counter!("svc.requests").inc();
@@ -373,8 +369,11 @@ impl Service {
         };
         let mut root = trace.span_under(0, "svc.request");
         root.annotate("kind", kind);
-        let root_id = root.id();
-        let result = run(&trace, root_id);
+        let result = run(&Req {
+            ctx,
+            trace: &trace,
+            root: root.id(),
+        });
         match &result {
             Ok(_) => root.annotate("outcome", "ok"),
             Err(e) => {
@@ -418,140 +417,36 @@ impl Service {
     /// Returns globally sorted row ids, bit-identical to
     /// [`ShardedIndex::execute_rect_sequential`] while every shard is
     /// healthy. The degradation marker is discarded; use
-    /// [`Self::try_query_rect`] to observe it.
+    /// [`Self::try_query_rect_ctx`] to observe it.
     pub fn query_rect(&self, query: &RectQuery) -> Result<Vec<usize>, SvcError> {
-        self.try_query_rect(query).map(Response::into_value)
-    }
-
-    /// Rectangular query returning the answer together with its
-    /// [`crate::Degraded`] status.
-    pub fn try_query_rect(&self, query: &RectQuery) -> Result<Response<Vec<usize>>, SvcError> {
-        self.try_query_rect_ctx(query, &self.ctx_with_default())
-    }
-
-    /// Rectangular query with an explicit per-request deadline.
-    pub fn query_rect_within(
-        &self,
-        query: &RectQuery,
-        budget: Duration,
-    ) -> Result<Vec<usize>, SvcError> {
-        self.query_rect_ctx(query, &RequestCtx::new(Deadline::within(budget)))
-    }
-
-    /// Rectangular query under a caller-owned [`RequestCtx`] — the
-    /// caller keeps a clone and may cancel mid-flight. The degradation
-    /// marker is discarded; use [`Self::try_query_rect_ctx`] to
-    /// observe it.
-    pub fn query_rect_ctx(
-        &self,
-        query: &RectQuery,
-        ctx: &RequestCtx,
-    ) -> Result<Vec<usize>, SvcError> {
-        self.try_query_rect_ctx(query, ctx)
+        self.try_query_rect_ctx(query, &self.request_ctx())
             .map(Response::into_value)
     }
 
-    /// Rectangular query under a caller-owned [`RequestCtx`],
-    /// reporting degradation: quarantined (or newly panicking) shards
-    /// contribute every row of their slice as a candidate instead of
-    /// failing the request, and the response's `degraded` marker
-    /// names them.
+    /// Rectangular query under a caller-owned [`RequestCtx`] (the
+    /// caller keeps a clone and may cancel mid-flight), reporting
+    /// degradation: quarantined (or newly panicking) shards contribute
+    /// every row of their slice as a candidate instead of failing the
+    /// request, and the response's `degraded` marker names them.
     pub fn try_query_rect_ctx(
         &self,
         query: &RectQuery,
         ctx: &RequestCtx,
     ) -> Result<Response<Vec<usize>>, SvcError> {
-        self.traced_request("rect", ctx, |trace, root_id| {
-            self.rect_ctx_traced(query, ctx, trace, root_id)
-        })
-    }
-
-    fn rect_ctx_traced(
-        &self,
-        query: &RectQuery,
-        ctx: &RequestCtx,
-        trace: &obs::TraceCtx,
-        root_id: u64,
-    ) -> Result<Response<Vec<usize>>, SvcError> {
-        let mut admit = trace.span_under(root_id, "svc.admit");
-        self.index.validate_rect(query)?;
-        ctx.check()?;
-        let parts = self.index.split_rect(query);
-        obs::histogram!("svc.fanout").record(parts.len() as u64);
-        admit.annotate("fanout", parts.len());
-        // Remember each slot's row interval so a panicking shard's
-        // slice can be re-answered conservatively after the fact.
-        let slot_spans: Vec<(usize, RectQuery)> = parts.clone();
-        let (tx, rx) = mpsc::channel();
-        let mut merged: Vec<Option<Vec<usize>>> = (0..parts.len()).map(|_| None).collect();
-        let mut degraded = Vec::new();
-        let mut expected = 0usize;
-        for (slot, (sid, local)) in parts.into_iter().enumerate() {
-            let start = self.index.shards()[sid].start();
-            if self.health.is_quarantined(sid) {
-                trace
-                    .span_under(root_id, "svc.quarantined")
-                    .annotate("shard", sid);
-                merged[slot] = Some(conservative_rows(start, &local));
-                degraded.push(sid);
-                continue;
-            }
-            if let Err(e) = chaos::inject(self.chaos.as_deref(), points::POOL_SUBMIT, Some(sid)) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-            let index = Arc::clone(&self.index);
-            let job_ctx = ctx.clone();
-            let plan = self.chaos.clone();
+        self.traced_request("rect", ctx, |req| {
+            let admit = req.span("svc.admit");
+            self.index.validate_rect(query)?;
             let kernel = self.kernel;
-            let tx = tx.clone();
-            let job_trace = trace.clone();
-            if let Err(e) = self.pool.try_execute(move || {
-                let mut tspan = job_trace.span_under(root_id, "svc.shard");
-                tspan.annotate("shard", sid);
-                let enter = tspan.enter();
-                let outcome = shard_outcome(|| {
-                    chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
-                    run_shard_chunked(&index.shards()[sid], &local, &job_ctx, kernel)
-                });
-                drop(enter);
-                annotate_shard_outcome(&mut tspan, &outcome);
-                drop(tspan);
-                let _ = tx.send((slot, sid, outcome));
-            }) {
-                // Shed: abandon the whole request and stop any parts
-                // already admitted.
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-            expected += 1;
-        }
-        drop(tx);
-        drop(admit);
-        let mut merge = trace.span_under(root_id, "svc.merge");
-        for _ in 0..expected {
-            match self.collect(&rx, ctx)? {
-                (slot, _, ShardOutcome::Done(Ok(rows))) => merged[slot] = Some(rows),
-                (_, _, ShardOutcome::Done(Err(e))) => return Err(self.abandon(ctx, e)),
-                (slot, sid, ShardOutcome::Panicked) => {
-                    self.health.quarantine(sid);
-                    degraded.push(sid);
-                    let (_, local) = &slot_spans[slot];
-                    let start = self.index.shards()[sid].start();
-                    merged[slot] = Some(conservative_rows(start, local));
-                }
-            }
-        }
-        if !degraded.is_empty() {
-            merge.annotate("degraded_shards", degraded.len());
-        }
-        // Shard parts were issued in row order, so flattening by slot
-        // yields globally sorted rows.
-        Ok(Response {
-            value: merged.into_iter().flatten().flatten().collect(),
-            degraded: degraded_marker(degraded),
+            self.fan_out(
+                req,
+                admit,
+                self.index.split_rect(query),
+                move |shard, local, ctx| shard_rect(shard, local, kernel, ctx),
+                |sid, local| Ok(self.conservative_rows(sid, local)),
+                // Shard parts were issued in row order, so
+                // concatenating by slot yields globally sorted rows.
+                |_, parts| parts.concat(),
+            )
         })
     }
 
@@ -561,7 +456,7 @@ impl Service {
     /// conservative, so a quarantined (or newly panicking) shard
     /// fails the request with [`SvcError::ShardQuarantined`].
     pub fn query_rect_wah(&self, query: &RectQuery) -> Result<Vec<usize>, SvcError> {
-        self.query_rect_wah_ctx(query, &self.ctx_with_default())
+        self.query_rect_wah_ctx(query, &self.request_ctx())
     }
 
     /// [`Self::query_rect_wah`] under a caller-owned [`RequestCtx`]
@@ -572,223 +467,81 @@ impl Service {
         query: &RectQuery,
         ctx: &RequestCtx,
     ) -> Result<Vec<usize>, SvcError> {
-        self.traced_request("rect_wah", ctx, |trace, root_id| {
-            self.rect_wah_traced(query, ctx, trace, root_id)
+        self.traced_request("rect_wah", ctx, |req| {
+            let admit = req.span("svc.admit");
+            self.index.validate_rect(query)?;
+            if self.index.shards().iter().any(|s| s.wah().is_none()) {
+                return Err(SvcError::WahUnavailable);
+            }
+            self.fan_out(
+                req,
+                admit,
+                self.index.split_rect(query),
+                |shard, local, ctx| {
+                    ctx.check()?;
+                    let mut rows = shard.wah().expect("checked above").evaluate_rows(local);
+                    for r in &mut rows {
+                        *r += shard.start();
+                    }
+                    Ok(rows)
+                },
+                |sid, _| Err(SvcError::ShardQuarantined { shard: sid }),
+                |_, parts| parts.concat(),
+            )
+            .map(Response::into_value)
         })
-    }
-
-    fn rect_wah_traced(
-        &self,
-        query: &RectQuery,
-        ctx: &RequestCtx,
-        trace: &obs::TraceCtx,
-        root_id: u64,
-    ) -> Result<Vec<usize>, SvcError> {
-        let mut admit = trace.span_under(root_id, "svc.admit");
-        self.index.validate_rect(query)?;
-        if self.index.shards().iter().any(|s| s.wah().is_none()) {
-            return Err(SvcError::WahUnavailable);
-        }
-        ctx.check()?;
-        let parts = self.index.split_rect(query);
-        obs::histogram!("svc.fanout").record(parts.len() as u64);
-        admit.annotate("fanout", parts.len());
-        if let Some(&(sid, _)) = parts
-            .iter()
-            .find(|(sid, _)| self.health.is_quarantined(*sid))
-        {
-            trace
-                .span_under(root_id, "svc.quarantined")
-                .annotate("shard", sid);
-            return Err(SvcError::ShardQuarantined { shard: sid });
-        }
-        let (tx, rx) = mpsc::channel();
-        let expected = parts.len();
-        for (slot, (sid, local)) in parts.into_iter().enumerate() {
-            let index = Arc::clone(&self.index);
-            let job_ctx = ctx.clone();
-            let plan = self.chaos.clone();
-            let tx = tx.clone();
-            let job_trace = trace.clone();
-            if let Err(e) = self.pool.try_execute(move || {
-                let mut tspan = job_trace.span_under(root_id, "svc.shard");
-                tspan.annotate("shard", sid);
-                let enter = tspan.enter();
-                let outcome = shard_outcome(|| {
-                    job_ctx.check()?;
-                    chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
-                    let shard = &index.shards()[sid];
-                    Ok(shard
-                        .wah()
-                        .expect("checked above")
-                        .evaluate_rows(&local)
-                        .into_iter()
-                        .map(|r| r + shard.start())
-                        .collect::<Vec<usize>>())
-                });
-                drop(enter);
-                annotate_shard_outcome(&mut tspan, &outcome);
-                drop(tspan);
-                let _ = tx.send((slot, sid, outcome));
-            }) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-        }
-        drop(tx);
-        drop(admit);
-        let _merge = trace.span_under(root_id, "svc.merge");
-        let mut merged: Vec<Option<Vec<usize>>> = (0..expected).map(|_| None).collect();
-        for _ in 0..expected {
-            match self.collect(&rx, ctx)? {
-                (slot, _, ShardOutcome::Done(Ok(rows))) => merged[slot] = Some(rows),
-                (_, _, ShardOutcome::Done(Err(e))) => return Err(self.abandon(ctx, e)),
-                (_, sid, ShardOutcome::Panicked) => {
-                    self.health.quarantine(sid);
-                    return Err(self.abandon(ctx, SvcError::ShardQuarantined { shard: sid }));
-                }
-            }
-        }
-        Ok(merged.into_iter().flatten().flatten().collect())
     }
 
     /// Cell-subset retrieval (paper Figure 5) under the default
     /// deadline: one boolean per cell, in request order. Probes are
     /// batched per owning shard — one pool job per shard touched. The
     /// degradation marker is discarded; use
-    /// [`Self::try_retrieve_cells`] to observe it.
+    /// [`Self::try_retrieve_cells_ctx`] to observe it.
     pub fn retrieve_cells(&self, cells: &[Cell]) -> Result<Vec<bool>, SvcError> {
-        self.try_retrieve_cells(cells).map(Response::into_value)
+        self.try_retrieve_cells_ctx(cells, &self.request_ctx())
+            .map(Response::into_value)
     }
 
-    /// Cell-subset retrieval reporting degradation: cells owned by a
-    /// quarantined (or newly panicking) shard answer `true` — *maybe
-    /// present*, the conservative AB answer — and the response's
-    /// `degraded` marker names those shards.
-    pub fn try_retrieve_cells(&self, cells: &[Cell]) -> Result<Response<Vec<bool>>, SvcError> {
-        self.try_retrieve_cells_ctx(cells, &self.ctx_with_default())
-    }
-
-    /// [`Self::try_retrieve_cells`] under a caller-owned
-    /// [`RequestCtx`] (deadline, cancellation, and optionally a
-    /// caller-owned trace — see [`RequestCtx::traced`]).
+    /// Cell-subset retrieval under a caller-owned [`RequestCtx`]
+    /// (deadline, cancellation, and optionally a caller-owned trace —
+    /// see [`RequestCtx::traced`]), reporting degradation: cells owned
+    /// by a quarantined (or newly panicking) shard answer `true` —
+    /// *maybe present*, the conservative AB answer — and the
+    /// response's `degraded` marker names those shards.
     pub fn try_retrieve_cells_ctx(
         &self,
         cells: &[Cell],
         ctx: &RequestCtx,
     ) -> Result<Response<Vec<bool>>, SvcError> {
-        self.traced_request("cells", ctx, |trace, root_id| {
-            self.retrieve_cells_traced(cells, ctx, trace, root_id)
-        })
-    }
-
-    fn retrieve_cells_traced(
-        &self,
-        cells: &[Cell],
-        ctx: &RequestCtx,
-        trace: &obs::TraceCtx,
-        root_id: u64,
-    ) -> Result<Response<Vec<bool>>, SvcError> {
-        let mut admit = trace.span_under(root_id, "svc.admit");
-        obs::histogram!("svc.batch.size").record(cells.len() as u64);
-        self.validate_cells(cells)?;
-        if cells.is_empty() {
-            return Ok(Response::healthy(Vec::new()));
-        }
-        ctx.check()?;
-        let groups = group_cells_by_shard(&self.index, cells);
-        obs::histogram!("svc.fanout").record(groups.len() as u64);
-        admit.annotate("fanout", groups.len());
-        admit.annotate("cells", cells.len());
-        // Remember each slot's probe positions so a panicking shard's
-        // probes can be re-answered conservatively after the fact.
-        let slot_positions: Vec<Vec<usize>> = groups
-            .iter()
-            .map(|g| g.cells.iter().map(|&(pos, _)| pos).collect())
-            .collect();
-        let mut answers = vec![false; cells.len()];
-        let mut degraded = Vec::new();
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0usize;
-        for (slot, group) in groups.into_iter().enumerate() {
-            let sid = group.shard;
-            if self.health.is_quarantined(sid) {
-                trace
-                    .span_under(root_id, "svc.quarantined")
-                    .annotate("shard", sid);
-                for &pos in &slot_positions[slot] {
-                    answers[pos] = true;
-                }
-                degraded.push(sid);
-                continue;
+        self.traced_request("cells", ctx, |req| {
+            let mut admit = req.span("svc.admit");
+            obs::histogram!("svc.batch.size").record(cells.len() as u64);
+            self.validate_cells(cells)?;
+            if cells.is_empty() {
+                return Ok(Response::healthy(Vec::new()));
             }
-            if let Err(e) = chaos::inject(self.chaos.as_deref(), points::POOL_SUBMIT, Some(sid)) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-            let index = Arc::clone(&self.index);
-            let job_ctx = ctx.clone();
-            let plan = self.chaos.clone();
+            admit.annotate("cells", cells.len());
             let kernel = self.kernel;
-            let tx = tx.clone();
-            let job_trace = trace.clone();
-            if let Err(e) = self.pool.try_execute(move || {
-                let mut tspan = job_trace.span_under(root_id, "svc.shard");
-                tspan.annotate("shard", sid);
-                let enter = tspan.enter();
-                let outcome = shard_outcome(|| {
-                    chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
-                    let shard = &index.shards()[sid];
-                    let mut out = Vec::with_capacity(group.cells.len());
-                    let mut probe = Vec::with_capacity(CHUNK_ROWS);
-                    for chunk in group.cells.chunks(CHUNK_ROWS) {
-                        job_ctx.check()?;
-                        probe.clear();
-                        probe.extend(chunk.iter().map(|&(_, c)| c));
-                        let hits = shard.index().retrieve_cells_with_opts(&probe, kernel);
-                        out.extend(chunk.iter().zip(hits).map(|(&(pos, _), hit)| (pos, hit)));
+            self.fan_out(
+                req,
+                admit,
+                group_cells_by_shard(&self.index, cells),
+                move |shard, group, ctx| {
+                    ctx.check()?;
+                    let probe: Vec<Cell> = group.iter().map(|&(_, c)| c).collect();
+                    Ok(shard.index().retrieve_cells_with_opts(&probe, kernel))
+                },
+                |_, group| Ok(vec![true; group.len()]),
+                |groups, parts| {
+                    let mut answers = vec![false; cells.len()];
+                    for ((_, group), hits) in groups.iter().zip(parts) {
+                        for (&(pos, _), hit) in group.iter().zip(hits) {
+                            answers[pos] = hit;
+                        }
                     }
-                    Ok(out)
-                });
-                drop(enter);
-                annotate_shard_outcome(&mut tspan, &outcome);
-                drop(tspan);
-                let _ = tx.send((slot, sid, outcome));
-            }) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-            expected += 1;
-        }
-        drop(tx);
-        drop(admit);
-        let mut merge = trace.span_under(root_id, "svc.merge");
-        for _ in 0..expected {
-            match self.collect(&rx, ctx)? {
-                (_, _, ShardOutcome::Done(Ok(hits))) => {
-                    for (pos, hit) in hits {
-                        answers[pos] = hit;
-                    }
-                }
-                (_, _, ShardOutcome::Done(Err(e))) => return Err(self.abandon(ctx, e)),
-                (slot, sid, ShardOutcome::Panicked) => {
-                    self.health.quarantine(sid);
-                    degraded.push(sid);
-                    for &pos in &slot_positions[slot] {
-                        answers[pos] = true;
-                    }
-                }
-            }
-        }
-        if !degraded.is_empty() {
-            merge.annotate("degraded_shards", degraded.len());
-        }
-        Ok(Response {
-            value: answers,
-            degraded: degraded_marker(degraded),
+                    answers
+                },
+            )
         })
     }
 
@@ -797,148 +550,171 @@ impl Service {
     /// single pool job. Returns one (globally sorted) row list per
     /// query, each bit-identical to running the query alone while
     /// every shard is healthy. The degradation marker is discarded;
-    /// use [`Self::try_query_batch`] to observe it.
+    /// use [`Self::try_query_batch_ctx`] to observe it.
     pub fn query_batch(&self, queries: &[RectQuery]) -> Result<Vec<Vec<usize>>, SvcError> {
-        self.try_query_batch(queries).map(Response::into_value)
+        self.try_query_batch_ctx(queries, &self.request_ctx())
+            .map(Response::into_value)
     }
 
-    /// Batched rectangular queries reporting degradation: quarantined
+    /// Batched rectangular queries under a caller-owned [`RequestCtx`]
+    /// (deadline, cancellation, and optionally a caller-owned trace —
+    /// see [`RequestCtx::traced`]), reporting degradation: quarantined
     /// (or newly panicking) shards contribute every covered row to
     /// each affected query, and the response's `degraded` marker names
     /// them.
-    pub fn try_query_batch(
-        &self,
-        queries: &[RectQuery],
-    ) -> Result<Response<Vec<Vec<usize>>>, SvcError> {
-        self.try_query_batch_ctx(queries, &self.ctx_with_default())
-    }
-
-    /// [`Self::try_query_batch`] under a caller-owned [`RequestCtx`]
-    /// (deadline, cancellation, and optionally a caller-owned trace —
-    /// see [`RequestCtx::traced`]).
     pub fn try_query_batch_ctx(
         &self,
         queries: &[RectQuery],
         ctx: &RequestCtx,
     ) -> Result<Response<Vec<Vec<usize>>>, SvcError> {
-        self.traced_request("batch", ctx, |trace, root_id| {
-            self.query_batch_traced(queries, ctx, trace, root_id)
+        self.traced_request("batch", ctx, |req| {
+            let mut admit = req.span("svc.admit");
+            obs::histogram!("svc.batch.size").record(queries.len() as u64);
+            for q in queries {
+                self.index.validate_rect(q)?;
+            }
+            if queries.is_empty() {
+                return Ok(Response::healthy(Vec::new()));
+            }
+            admit.annotate("queries", queries.len());
+            let kernel = self.kernel;
+            self.fan_out(
+                req,
+                admit,
+                group_rects_by_shard(&self.index, queries),
+                move |shard, group, ctx| {
+                    group
+                        .iter()
+                        .map(|(_, local)| shard_rect(shard, local, kernel, ctx))
+                        .collect::<Result<Vec<_>, _>>()
+                },
+                |sid, group| {
+                    Ok(group
+                        .iter()
+                        .map(|(_, local)| self.conservative_rows(sid, local))
+                        .collect())
+                },
+                // Groups come in shard order, so appending each part to
+                // its query keeps every answer globally sorted.
+                |groups, parts| {
+                    let mut per_query = vec![Vec::new(); queries.len()];
+                    for ((_, group), rows) in groups.iter().zip(parts) {
+                        for (&(qidx, _), rows) in group.iter().zip(rows) {
+                            per_query[qidx].extend(rows);
+                        }
+                    }
+                    per_query
+                },
+            )
         })
     }
 
-    fn query_batch_traced(
+    /// The fan-out/collect skeleton every request kind runs once its
+    /// input is validated and split into `(shard id, part)` slots.
+    ///
+    /// Each slot becomes one pool job under a `svc.shard` span running
+    /// `job`, behind the [`points::POOL_SUBMIT`] and
+    /// [`points::SHARD_QUERY`] chaos points. A quarantined shard is
+    /// skipped and its slot answered by `unavailable`; a job that
+    /// panics quarantines its shard and is answered the same way. An
+    /// `Err` from either abandons the request, as does a job error or
+    /// a deadline miss while collecting. `merge` folds the slot answers
+    /// (in slot order) under the `svc.merge` span.
+    fn fan_out<P, T, V>(
         &self,
-        queries: &[RectQuery],
-        ctx: &RequestCtx,
-        trace: &obs::TraceCtx,
-        root_id: u64,
-    ) -> Result<Response<Vec<Vec<usize>>>, SvcError> {
-        let mut admit = trace.span_under(root_id, "svc.admit");
-        obs::histogram!("svc.batch.size").record(queries.len() as u64);
-        for q in queries {
-            self.index.validate_rect(q)?;
-        }
-        if queries.is_empty() {
-            return Ok(Response::healthy(Vec::new()));
-        }
+        req: &Req,
+        mut admit: obs::TraceSpan,
+        parts: Vec<(usize, P)>,
+        job: impl Fn(&Shard, &P, &RequestCtx) -> Result<T, SvcError> + Copy + Send + 'static,
+        unavailable: impl Fn(usize, &P) -> Result<T, SvcError>,
+        merge: impl FnOnce(&[(usize, P)], Vec<T>) -> V,
+    ) -> Result<Response<V>, SvcError>
+    where
+        P: Send + Sync + 'static,
+        T: Send + 'static,
+    {
+        let ctx = req.ctx;
         ctx.check()?;
-        let groups = group_rects_by_shard(&self.index, queries);
-        obs::histogram!("svc.fanout").record(groups.len() as u64);
-        admit.annotate("fanout", groups.len());
-        admit.annotate("queries", queries.len());
-        // Remember each group's parts so a panicking shard's slices
-        // can be re-answered conservatively after the fact.
-        let group_parts: Vec<Vec<(usize, RectQuery)>> =
-            groups.iter().map(|g| g.queries.clone()).collect();
-        let mut per_query: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); queries.len()];
+        obs::histogram!("svc.fanout").record(parts.len() as u64);
+        admit.annotate("fanout", parts.len());
+        // Jobs read their part from the shared list; the collector
+        // keeps it to answer a panicking shard's slot after the fact.
+        let parts = Arc::new(parts);
+        let mut answers: Vec<Option<T>> = (0..parts.len()).map(|_| None).collect();
         let mut degraded = Vec::new();
-        let conservative_group =
-            |per_query: &mut Vec<Vec<(usize, Vec<usize>)>>, slot: usize, sid: usize| {
-                let start = self.index.shards()[sid].start();
-                for (qidx, local) in &group_parts[slot] {
-                    per_query[*qidx].push((sid, conservative_rows(start, local)));
-                }
-            };
         let (tx, rx) = mpsc::channel();
         let mut expected = 0usize;
-        for (slot, group) in groups.into_iter().enumerate() {
-            let sid = group.shard;
+        for (slot, (sid, part)) in parts.iter().enumerate() {
+            let sid = *sid;
             if self.health.is_quarantined(sid) {
-                trace
-                    .span_under(root_id, "svc.quarantined")
-                    .annotate("shard", sid);
-                conservative_group(&mut per_query, slot, sid);
+                req.span("svc.quarantined").annotate("shard", sid);
+                answers[slot] = Some(unavailable(sid, part).map_err(|e| self.abandon(ctx, e))?);
                 degraded.push(sid);
                 continue;
             }
-            if let Err(e) = chaos::inject(self.chaos.as_deref(), points::POOL_SUBMIT, Some(sid)) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
+            chaos::inject(self.chaos.as_deref(), points::POOL_SUBMIT, Some(sid))
+                .map_err(|e| self.shed(ctx, e))?;
             let index = Arc::clone(&self.index);
+            let parts = Arc::clone(&parts);
             let job_ctx = ctx.clone();
             let plan = self.chaos.clone();
-            let kernel = self.kernel;
             let tx = tx.clone();
-            let job_trace = trace.clone();
-            if let Err(e) = self.pool.try_execute(move || {
-                let mut tspan = job_trace.span_under(root_id, "svc.shard");
-                tspan.annotate("shard", sid);
-                let enter = tspan.enter();
-                let outcome = shard_outcome(|| {
-                    chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
-                    let shard = &index.shards()[sid];
-                    let mut out = Vec::with_capacity(group.queries.len());
-                    for (qidx, local) in &group.queries {
-                        out.push((*qidx, run_shard_chunked(shard, local, &job_ctx, kernel)?));
-                    }
-                    Ok(out)
-                });
-                drop(enter);
-                annotate_shard_outcome(&mut tspan, &outcome);
-                drop(tspan);
-                let _ = tx.send((slot, sid, outcome));
-            }) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
+            let (trace, root) = (req.trace.clone(), req.root);
+            self.pool
+                .try_execute(move || {
+                    let mut tspan = trace.span_under(root, "svc.shard");
+                    tspan.annotate("shard", sid);
+                    let enter = tspan.enter();
+                    // A panic becomes `None` so the collector hears of
+                    // it instead of waiting on a message that never
+                    // arrives.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
+                        job(&index.shards()[sid], &parts[slot].1, &job_ctx)
+                    }))
+                    .ok();
+                    drop(enter);
+                    annotate_shard_outcome(&mut tspan, &outcome);
+                    drop(tspan);
+                    let _ = tx.send((slot, outcome));
+                })
+                .map_err(|e| self.shed(ctx, e))?;
             expected += 1;
         }
         drop(tx);
         drop(admit);
-        let mut merge = trace.span_under(root_id, "svc.merge");
-        // Parts arrive in shard-completion order; tag each with its
-        // shard id and sort per query so the merge stays row-ordered.
+        let mut merge_span = req.span("svc.merge");
         for _ in 0..expected {
-            match self.collect(&rx, ctx)? {
-                (_, sid, ShardOutcome::Done(Ok(parts))) => {
-                    for (qidx, rows) in parts {
-                        per_query[qidx].push((sid, rows));
-                    }
+            let (slot, outcome) = self.collect(&rx, ctx)?;
+            let (sid, part) = &parts[slot];
+            answers[slot] = Some(match outcome {
+                Some(Ok(answer)) => answer,
+                Some(Err(e)) => return Err(self.abandon(ctx, e)),
+                None => {
+                    self.health.quarantine(*sid);
+                    degraded.push(*sid);
+                    unavailable(*sid, part).map_err(|e| self.abandon(ctx, e))?
                 }
-                (_, _, ShardOutcome::Done(Err(e))) => return Err(self.abandon(ctx, e)),
-                (slot, sid, ShardOutcome::Panicked) => {
-                    self.health.quarantine(sid);
-                    degraded.push(sid);
-                    conservative_group(&mut per_query, slot, sid);
-                }
-            }
+            });
         }
         if !degraded.is_empty() {
-            merge.annotate("degraded_shards", degraded.len());
+            merge_span.annotate("degraded_shards", degraded.len());
         }
+        let answers = answers
+            .into_iter()
+            .map(|a| a.expect("every slot answered"))
+            .collect();
         Ok(Response {
-            value: per_query
-                .into_iter()
-                .map(|mut parts| {
-                    parts.sort_unstable_by_key(|(sid, _)| *sid);
-                    parts.into_iter().flat_map(|(_, rows)| rows).collect()
-                })
-                .collect(),
+            value: merge(&parts, answers),
             degraded: degraded_marker(degraded),
         })
+    }
+
+    /// Every global row a shard-local query part covers — the
+    /// conservative ("maybe present") answer for a quarantined shard.
+    fn conservative_rows(&self, sid: usize, local: &RectQuery) -> Vec<usize> {
+        let start = self.index.shards()[sid].start();
+        (start + local.row_lo..=start + local.row_hi).collect()
     }
 
     /// Waits for one shard message, charging the wait against the
@@ -964,73 +740,15 @@ impl Service {
         }
         e
     }
-}
 
-/// Runs one shard's part of a rectangular query in [`CHUNK_ROWS`]
-/// chunks on the configured probe kernel, translating matches back to
-/// global row ids.
-///
-/// Hierarchical pruning (when enabled and the shard carries a
-/// pyramid) runs over the *whole* shard part first — pruning inside a
-/// 512-row chunk would never see a span-sized region — and only the
-/// surviving row intervals are chunked. The per-chunk kernel runs
-/// with hier forced off so the core path neither re-prunes nor
-/// double-counts the `hier.*` stats emitted here.
-fn run_shard_chunked(
-    shard: &Shard,
-    local: &RectQuery,
-    ctx: &RequestCtx,
-    kernel: KernelOpts,
-) -> Result<Vec<usize>, SvcError> {
-    let flat = kernel.with_hier(HierMode::Off);
-    let mut out = Vec::new();
-    if kernel.hier != HierMode::Off && !local.ranges.is_empty() && local.row_lo <= local.row_hi {
-        if let Some(hier) = shard.index().hier() {
-            if kernel.hier == HierMode::Force || ab::plan_descent(hier, local) {
-                let prune = hier.prune(local);
-                obs::counter!("hier.regions_pruned").add(prune.regions_pruned);
-                obs::counter!("hier.rows_skipped").add(prune.rows_skipped);
-                for (lo, hi) in prune.intervals {
-                    let part = RectQuery::new(local.ranges.clone(), lo, hi);
-                    run_shard_chunked_flat(shard, &part, ctx, flat, &mut out)?;
-                }
-                return Ok(out);
-            }
-        }
+    /// Sheds a request at submission: stops any parts already admitted
+    /// and counts the shed.
+    fn shed(&self, ctx: &RequestCtx, e: SvcError) -> SvcError {
+        ctx.cancel();
+        obs::counter!("svc.shed").inc();
+        e
     }
-    run_shard_chunked_flat(shard, local, ctx, flat, &mut out)?;
-    Ok(out)
-}
 
-/// The chunked scan itself: [`CHUNK_ROWS`] rows per kernel call with
-/// a [`RequestCtx::check`] between chunks.
-fn run_shard_chunked_flat(
-    shard: &Shard,
-    local: &RectQuery,
-    ctx: &RequestCtx,
-    kernel: KernelOpts,
-    out: &mut Vec<usize>,
-) -> Result<(), SvcError> {
-    let mut lo = local.row_lo;
-    loop {
-        ctx.check()?;
-        let hi = local.row_hi.min(lo + CHUNK_ROWS - 1);
-        let chunk = RectQuery::new(local.ranges.clone(), lo, hi);
-        out.extend(
-            shard
-                .index()
-                .try_execute_rect_with_opts(&chunk, kernel)?
-                .into_iter()
-                .map(|r| r + shard.start()),
-        );
-        if hi == local.row_hi {
-            return Ok(());
-        }
-        lo = hi + 1;
-    }
-}
-
-impl Service {
     fn validate_cells(&self, cells: &[Cell]) -> Result<(), QueryError> {
         let attrs = self.index.attributes();
         for c in cells {
@@ -1129,8 +847,9 @@ mod tests {
     fn expired_deadline_rejects_before_dispatch() {
         let svc = service(200, small_cfg());
         let q = RectQuery::new(vec![AttrRange::new(0, 0, 5)], 0, 199);
+        let ctx = RequestCtx::new(Deadline::within(Duration::ZERO));
         assert_eq!(
-            svc.query_rect_within(&q, Duration::ZERO),
+            svc.try_query_rect_ctx(&q, &ctx),
             Err(SvcError::DeadlineExceeded)
         );
     }
@@ -1141,7 +860,7 @@ mod tests {
         let ctx = RequestCtx::new(Deadline::none());
         ctx.cancel();
         let q = RectQuery::new(vec![], 0, 199);
-        assert_eq!(svc.query_rect_ctx(&q, &ctx), Err(SvcError::Cancelled));
+        assert_eq!(svc.try_query_rect_ctx(&q, &ctx), Err(SvcError::Cancelled));
     }
 
     #[test]
@@ -1251,7 +970,7 @@ mod tests {
         let q = RectQuery::new(vec![AttrRange::new(0, 1, 4)], 0, 399);
         let healthy_rows = svc.index().execute_rect_sequential(&q).unwrap();
 
-        let r = svc.try_query_rect(&q).unwrap();
+        let r = svc.try_query_rect_ctx(&q, &svc.request_ctx()).unwrap();
         assert_eq!(
             r.degraded.as_ref().map(|d| d.shards.clone()),
             Some(vec![1]),
@@ -1272,7 +991,7 @@ mod tests {
         // The shard stays quarantined: the next request degrades up
         // front without firing the (spent) fault again.
         assert!(svc.health().is_quarantined(1));
-        let again = svc.try_query_rect(&q).unwrap();
+        let again = svc.try_query_rect_ctx(&q, &svc.request_ctx()).unwrap();
         assert!(again.is_degraded());
         assert_eq!(plan.fires(points::SHARD_QUERY), 1);
 
@@ -1303,7 +1022,9 @@ mod tests {
         let cells: Vec<Cell> = (0..n)
             .map(|r| Cell::new(r, 0, t.column(0).bins[r]))
             .collect();
-        let r = svc.try_retrieve_cells(&cells).unwrap();
+        let r = svc
+            .try_retrieve_cells_ctx(&cells, &svc.request_ctx())
+            .unwrap();
         assert_eq!(r.degraded.as_ref().map(|d| d.shards.clone()), Some(vec![0]));
         assert!(
             r.value.iter().all(|&b| b),
@@ -1313,7 +1034,9 @@ mod tests {
         // shard still answers true — maybe present, never a false
         // negative elsewhere.
         let absent = Cell::new(0, 0, (t.column(0).bins[0] + 1) % 6);
-        let r2 = svc.try_retrieve_cells(&[absent]).unwrap();
+        let r2 = svc
+            .try_retrieve_cells_ctx(&[absent], &svc.request_ctx())
+            .unwrap();
         assert!(r2.value[0] && r2.is_degraded());
     }
 
@@ -1342,7 +1065,10 @@ mod tests {
         );
         // Approximate path still serves (degraded), exact path keeps
         // refusing until the shard is cleared.
-        assert!(svc.try_query_rect(&q).unwrap().is_degraded());
+        assert!(svc
+            .try_query_rect_ctx(&q, &svc.request_ctx())
+            .unwrap()
+            .is_degraded());
         assert_eq!(
             svc.query_rect_wah(&q),
             Err(SvcError::ShardQuarantined { shard: 2 })
@@ -1366,7 +1092,7 @@ mod tests {
             Err(SvcError::Overloaded { .. })
         ));
         // One-shot fault: the next request goes through healthily.
-        let r = svc.try_query_rect(&q).unwrap();
+        let r = svc.try_query_rect_ctx(&q, &svc.request_ctx()).unwrap();
         assert!(!r.is_degraded());
     }
 

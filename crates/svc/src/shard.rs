@@ -13,7 +13,7 @@
 //! because shards are ordered.
 
 use crate::pool::WorkerPool;
-use ab::{AbConfig, AbIndex, AttributeMeta, HierConfig, QueryError};
+use ab::{AbConfig, AbIndex, AttributeMeta, HierConfig, KernelOpts, QueryError};
 use bitmap::{BinnedTable, RectQuery};
 use std::sync::mpsc;
 
@@ -267,7 +267,7 @@ impl ShardedIndex {
     }
 
     /// Validates a query against the global row count and attribute
-    /// cardinalities — the same checks [`AbIndex::try_execute_rect`]
+    /// cardinalities — the same checks [`AbIndex::execute`]
     /// performs, hoisted so they run once per request instead of once
     /// per shard.
     pub fn validate_rect(&self, query: &RectQuery) -> Result<(), QueryError> {
@@ -303,13 +303,10 @@ impl ShardedIndex {
         let mut out = Vec::new();
         for (sid, local) in self.split_rect(query) {
             let shard = &self.shards[sid];
-            out.extend(
-                shard
-                    .index
-                    .try_execute_rect(&local)?
-                    .into_iter()
-                    .map(|r| r + shard.start),
-            );
+            let (rows, _) = shard
+                .index
+                .execute(&local, KernelOpts::default(), ab::no_cancel)?;
+            out.extend(rows.into_iter().map(|r| r + shard.start));
         }
         Ok(out)
     }

@@ -113,8 +113,10 @@ fn injected_faults_never_cause_false_negatives() {
     for (i, q) in workload(n).iter().enumerate() {
         // Spurious overload is transient; the bounded retry absorbs
         // it (its max_fires cap guarantees the supply dries up).
-        let resp = retry(&policy, i as u64, |_| svc.try_query_rect(q))
-            .expect("retry must outlast the capped overload injection");
+        let resp = retry(&policy, i as u64, |_| {
+            svc.try_query_rect_ctx(q, &svc.request_ctx())
+        })
+        .expect("retry must outlast the capped overload injection");
         if resp.is_degraded() {
             degraded_seen += 1;
         }
@@ -152,7 +154,8 @@ fn deadline_expiry_discards_partial_results_under_latency() {
     let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(plan);
     let q = RectQuery::new(vec![AttrRange::new(0, 0, 6)], 0, n - 1);
     // Every shard job sleeps 80ms; a 10ms deadline cannot be met.
-    let res = svc.query_rect_within(&q, Duration::from_millis(10));
+    let ctx = svc::RequestCtx::new(svc::Deadline::within(Duration::from_millis(10)));
+    let res = svc.try_query_rect_ctx(&q, &ctx);
     assert_eq!(res, Err(SvcError::DeadlineExceeded));
     // The service stays healthy afterwards: latency is not a panic,
     // nothing is quarantined, and an undeadlined query still answers.
@@ -256,7 +259,7 @@ fn quarantine_then_repair_restores_exact_answers() {
     let q = RectQuery::new(vec![AttrRange::new(0, 2, 5)], 0, n - 1);
     let reference = svc.index().execute_rect_sequential(&q).unwrap();
 
-    let degraded = svc.try_query_rect(&q).unwrap();
+    let degraded = svc.try_query_rect_ctx(&q, &svc.request_ctx()).unwrap();
     assert_eq!(
         degraded.degraded.as_ref().map(|d| d.shards.as_slice()),
         Some(&[2usize][..])
@@ -267,7 +270,7 @@ fn quarantine_then_repair_restores_exact_answers() {
     assert!(svc.health().is_quarantined(2));
 
     svc.health().clear(2);
-    let healthy = svc.try_query_rect(&q).unwrap();
+    let healthy = svc.try_query_rect_ctx(&q, &svc.request_ctx()).unwrap();
     assert!(!healthy.is_degraded());
     assert_eq!(healthy.value, reference);
 }

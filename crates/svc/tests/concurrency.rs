@@ -179,8 +179,9 @@ fn deadline_miss_then_recovery() {
         },
     );
     let q = RectQuery::new(vec![AttrRange::new(0, 0, 7)], 0, 49_999);
+    let ctx = RequestCtx::new(Deadline::within(Duration::from_nanos(1)));
     assert_eq!(
-        svc.query_rect_within(&q, Duration::from_nanos(1)),
+        svc.try_query_rect_ctx(&q, &ctx),
         Err(SvcError::DeadlineExceeded)
     );
     // Unbounded retry succeeds and still matches the reference.
@@ -210,7 +211,7 @@ fn cancellation_aborts_in_flight_request() {
         0,
         99_999,
     );
-    let res = svc.query_rect_ctx(&q, &ctx);
+    let res = svc.try_query_rect_ctx(&q, &ctx).map(|r| r.value);
     h.join().unwrap();
     // Depending on timing the request either finished first or was
     // cancelled — both are valid; anything else is a bug.

@@ -119,7 +119,9 @@ fn detect_degrade_repair_recover_under_live_traffic() {
             std::thread::spawn(move || {
                 let mut answers = 0u64;
                 while !stop.load(Ordering::Acquire) {
-                    let resp = svc.try_query_rect(&the_query()).unwrap();
+                    let resp = svc
+                        .try_query_rect_ctx(&the_query(), &svc.request_ctx())
+                        .unwrap();
                     assert_superset(&resp.value, &format!("traffic thread {t}"));
                     answers += 1;
                 }
@@ -159,7 +161,9 @@ fn detect_degrade_repair_recover_under_live_traffic() {
     let body = healthz(telemetry.local_addr());
     assert!(body.contains("\"status\":\"degraded\""), "body: {body}");
     assert!(body.contains("\"state\":\"degraded\""), "body: {body}");
-    let resp = service.try_query_rect(&the_query()).unwrap();
+    let resp = service
+        .try_query_rect_ctx(&the_query(), &service.request_ctx())
+        .unwrap();
     assert!(resp.is_degraded(), "quarantined shard must mark responses");
     assert_superset(&resp.value, "degraded window");
 

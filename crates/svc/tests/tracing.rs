@@ -9,6 +9,7 @@ use ab::{AbConfig, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 #[cfg(not(feature = "chaos-off"))]
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard};
 #[cfg(not(feature = "chaos-off"))]
 use svc::chaos::{points, Fault, FaultPlan, FaultRule};
 #[cfg(not(feature = "chaos-off"))]
@@ -16,6 +17,15 @@ use svc::RetryPolicy;
 use svc::{Deadline, RequestCtx, Service, SvcConfig};
 
 const ROWS: usize = 4096;
+
+/// Serializes this file's tests: they read the global flight recorder
+/// and the global `ab.query.*` counters, which parallel tests would
+/// otherwise bump underneath them.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn table() -> BinnedTable {
     BinnedTable::new(vec![
@@ -81,6 +91,7 @@ fn assert_well_formed(t: &obs::Trace) {
 #[test]
 #[cfg(not(feature = "chaos-off"))]
 fn one_complete_span_tree_per_request_across_threads_with_chaos() {
+    let _serial = serial();
     // Shard 3 panics once: that request must still produce a complete
     // trace with the panicked shard job annotated and the request
     // degraded.
@@ -107,7 +118,8 @@ fn one_complete_span_tree_per_request_across_threads_with_chaos() {
             s.spawn(move || {
                 for i in 0..PER_CLIENT {
                     let lo = (c * 131 + i * 17) % (ROWS / 2);
-                    svc.try_query_rect(&rect(lo, ROWS - 1)).unwrap();
+                    svc.try_query_rect_ctx(&rect(lo, ROWS - 1), &svc.request_ctx())
+                        .unwrap();
                 }
             });
         }
@@ -167,6 +179,7 @@ fn one_complete_span_tree_per_request_across_threads_with_chaos() {
 #[test]
 #[cfg(not(feature = "chaos-off"))]
 fn caller_owned_trace_collects_all_retry_attempts() {
+    let _serial = serial();
     // With a caller-owned trace, the service records request spans but
     // leaves finishing to the caller — so several attempts (here via
     // retry_traced against an always-overloaded pool) share one trace.
@@ -187,7 +200,8 @@ fn caller_owned_trace_collects_all_retry_attempts() {
         // A failed attempt cancels its RequestCtx, so each attempt
         // gets a fresh ctx carrying the same trace.
         let ctx = RequestCtx::traced(Deadline::none(), trace.clone());
-        svc.query_rect_ctx(&rect(0, ROWS - 1), &ctx)
+        svc.try_query_rect_ctx(&rect(0, ROWS - 1), &ctx)
+            .map(svc::Response::into_value)
     });
     assert!(out.is_err(), "submission is always shed");
     let t = trace.finish().expect("caller finishes the trace");
@@ -211,6 +225,7 @@ fn caller_owned_trace_collects_all_retry_attempts() {
 
 #[test]
 fn service_owned_traces_can_be_disabled() {
+    let _serial = serial();
     let svc = Service::build(
         &table(),
         &AbConfig::new(Level::PerAttribute).with_alpha(16),
@@ -222,7 +237,78 @@ fn service_owned_traces_can_be_disabled() {
     // Caller-owned traces still work even when automatic ones are off.
     let trace = obs::TraceCtx::start("rect");
     let ctx = RequestCtx::traced(Deadline::none(), trace.clone());
-    svc.query_rect_ctx(&rect(0, ROWS - 1), &ctx).unwrap();
+    svc.try_query_rect_ctx(&rect(0, ROWS - 1), &ctx).unwrap();
     let t = trace.finish().unwrap();
     assert!(t.spans.iter().any(|s| s.name == "svc.shard"));
+}
+
+/// One full-range rect over two 2^19-row shards leaves one intact span
+/// tree: a single root and merge, and exactly one kernel span under
+/// each shard job carrying that part's stats. Core counts one executed
+/// query per shard part, however many rows the part spans.
+#[test]
+fn one_kernel_span_per_shard_part_and_no_dropped_spans() {
+    let _serial = serial();
+    const BIG: usize = 1 << 20;
+    let t = BinnedTable::new(vec![BinnedColumn::new(
+        "a",
+        (0..BIG).map(|i| (i % 8) as u32).collect(),
+        8,
+    )]);
+    let svc = Service::build(
+        &t,
+        &AbConfig::new(Level::PerAttribute).with_alpha(16),
+        &SvcConfig {
+            threads: 2,
+            shards: 2,
+            ..SvcConfig::default()
+        },
+    );
+    let executed = obs::global().counter("ab.query.executed");
+    let before = executed.get();
+    let trace = obs::TraceCtx::start("rect");
+    let ctx = RequestCtx::traced(Deadline::none(), trace.clone());
+    let q = RectQuery::new(vec![AttrRange::new(0, 3, 3)], 0, BIG - 1);
+    let rows = svc.try_query_rect_ctx(&q, &ctx).unwrap().into_value();
+    assert_eq!(
+        executed.get() - before,
+        2,
+        "one core execution per shard part"
+    );
+
+    let t = trace.finish().expect("caller finishes the trace");
+    assert_eq!(t.dropped_spans, 0, "trace dropped spans");
+    let roots: Vec<_> = t.spans.iter().filter(|s| s.parent == 0).collect();
+    assert_eq!(roots.len(), 1);
+    assert_eq!(roots[0].name, "svc.request");
+    assert_eq!(t.spans.iter().filter(|s| s.name == "svc.merge").count(), 1);
+    let mut shards: Vec<u64> = t
+        .spans
+        .iter()
+        .filter(|s| s.name == "svc.shard")
+        .map(|s| s.id)
+        .collect();
+    let kernels: Vec<_> = t
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("ab.kernel."))
+        .collect();
+    let mut parents: Vec<u64> = kernels.iter().map(|k| k.parent).collect();
+    shards.sort_unstable();
+    parents.sort_unstable();
+    assert_eq!(
+        parents, shards,
+        "exactly one kernel span under each of the 2 shard jobs"
+    );
+    let ann = |s: &obs::SpanRecord, key: &str| match s.annotations.iter().find(|(k, _)| k == key) {
+        Some((_, obs::AnnValue::U64(v))) => *v,
+        other => panic!("span {} has no numeric {key}: {other:?}", s.name),
+    };
+    assert!(kernels.iter().all(|k| ann(k, "cells_probed") > 0));
+    let matched: u64 = kernels.iter().map(|k| ann(k, "rows_matched")).sum();
+    assert_eq!(
+        matched,
+        rows.len() as u64,
+        "kernel spans carry the parts' stats"
+    );
 }

@@ -366,7 +366,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         .map_err(|_| "--limit must be an integer")?;
 
     let query = RectQuery::new(ranges, row_lo, row_hi);
-    let (rows, stats) = index.execute_rect_with_stats(&query);
+    let (rows, stats) = index
+        .execute(&query, ab::KernelOpts::default(), ab::no_cancel)
+        .map_err(|e| e.to_string())?;
     println!(
         "{} candidate rows ({} cells probed; recall 100%, false positives possible):",
         rows.len(),
@@ -543,7 +545,7 @@ fn build_service(args: &[String], with_wah: bool) -> Result<Service, String> {
         svc.index().num_shards(),
         svc.threads(),
         svc.index().size_bytes(),
-        svc.kernel(),
+        svc.kernel_opts().kernel,
     );
     Ok(svc)
 }
@@ -596,7 +598,7 @@ fn build_service_from_store(
         svc.index().num_shards(),
         svc.threads(),
         svc.index().size_bytes(),
-        svc.kernel(),
+        svc.kernel_opts().kernel,
         st.backend(),
     );
     let scrub_ms: u64 = flag_value(args, "--scrub-ms")
@@ -767,7 +769,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 if wah {
                     svc.query_rect_wah_ctx(&q, &ctx)
                 } else {
-                    svc.query_rect_ctx(&q, &ctx)
+                    svc.try_query_rect_ctx(&q, &ctx)
+                        .map(svc::Response::into_value)
                 }
             });
             svc.finish_trace(&trace);

@@ -28,7 +28,9 @@ fn registry_matches_summed_query_stats() {
 
     let mut sum = ab::QueryStats::default();
     for q in &queries {
-        let (_, stats) = idx.execute_rect_with_stats(q);
+        let (_, stats) = idx
+            .execute(q, ab::KernelOpts::default(), ab::no_cancel)
+            .unwrap();
         sum.cells_probed += stats.cells_probed;
         sum.bits_read += stats.bits_read;
         sum.rows_matched += stats.rows_matched;
@@ -76,12 +78,13 @@ fn typed_errors_round_trip() {
         &ab::AbConfig::new(ab::Level::PerAttribute).with_alpha(8),
     );
     let bad = bitmap::RectQuery::new(vec![bitmap::AttrRange::new(0, 0, 4)], 0, 5_000);
-    match idx.try_execute_rect(&bad) {
+    let opts = ab::KernelOpts::default();
+    match idx.execute(&bad, opts, ab::no_cancel) {
         Err(ab::QueryError::RowOutOfRange { row, num_rows }) => {
             assert_eq!((row, num_rows), (5_000, 500));
         }
         other => panic!("expected RowOutOfRange, got {other:?}"),
     }
-    let err = idx.try_execute_rect(&bad).unwrap_err();
+    let err = idx.execute(&bad, opts, ab::no_cancel).unwrap_err();
     assert!(err.to_string().contains("out of range"));
 }
