@@ -1,5 +1,5 @@
 //! End-to-end socket throughput: req/s and client-observed latency
-//! through the full network stack (client → ABQ/1 framing → epoll
+//! through the full network stack (client → ABQ/2 framing → epoll
 //! event loop → admission → sharded service → framing → client), so
 //! the repo's headline numbers include the wire, not just the index.
 //!

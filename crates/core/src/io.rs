@@ -122,36 +122,10 @@ const VERSION: u16 = 4;
 /// Oldest format version this build still reads (checksum-free).
 const MIN_VERSION: u16 = 1;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `data`.
-/// Table-driven, built at compile time — no dependencies.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`): the one
+/// table-driven implementation every checksummed format shares (ABIX,
+/// ABSH, ABPG, ROAR and the wire frames).
+pub use roar::bytes::crc32;
 
 /// Verifies a stored checksum, counting failures in
 /// `io.checksum_failures`.
@@ -1329,9 +1303,11 @@ mod tests {
         .contains("0xdeadbeef"));
     }
 
+    /// Pins the re-exported CRC to the standard IEEE check values, so
+    /// a change to the shared implementation cannot silently move the
+    /// bytes of every stored index.
     #[test]
     fn crc32_matches_reference_vectors() {
-        // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(

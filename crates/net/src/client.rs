@@ -1,4 +1,4 @@
-//! A blocking client for the `ABQ/1` protocol — used by tests, the
+//! A blocking client for the `ABQ/2` protocol — used by tests, the
 //! load generator, and CLI tooling. Pipelining is explicit:
 //! [`Client::send`] queues a request on the wire and returns its id,
 //! [`Client::recv`] blocks for the next response frame (any id), and

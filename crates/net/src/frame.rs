@@ -1,4 +1,4 @@
-//! The `ABQ/1` wire protocol: compact length-prefixed binary frames
+//! The `ABQ/2` wire protocol: compact length-prefixed binary frames
 //! with a versioned header and a CRC-32 trailer (the same
 //! [`ab::crc32`] the on-disk formats use).
 //!
@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic        0xAB51
-//! 2       1     version      1
+//! 2       1     version      2
 //! 3       1     kind         see [`kind`]
 //! 4       8     request_id   caller-chosen; echoed on the response
 //! 12      4     payload_len  ≤ MAX_PAYLOAD
@@ -19,6 +19,21 @@
 //! high bit set. Because every byte of the header and payload is
 //! covered by the trailer CRC, any single corrupted byte is detected
 //! before the payload is interpreted.
+//!
+//! ## Row sets
+//!
+//! The row list of `RECT_OK`, and each row list of `BATCH_OK`, is a
+//! row set: `form: u8`, `count: u64`, then one of two bodies.
+//!
+//! * **LIST** (form 0): `count × u64` rows, in the answer's order;
+//! * **BITMAP** (form 1): `first: u64`, `words: u64`, then
+//!   `words × u64`; bit `i` of word `w` is row `first + 64·w + i`.
+//!
+//! The encoder sends BITMAP only when the rows are strictly ascending
+//! and the bitmap is strictly smaller than the list, so every row
+//! vector round-trips exactly. The decoder allocates only what the
+//! payload backs, and rejects a bitmap whose popcount is not `count`
+//! or whose span `first + 64·words` overflows `u64`.
 //!
 //! ## Error taxonomy
 //!
@@ -41,7 +56,7 @@ pub const MAGIC: u16 = 0xAB51;
 /// Protocol version this build speaks. A frame with a different
 /// version is answered with [`ErrorCode::BadVersion`] naming the
 /// supported version, so clients can negotiate down.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed header bytes before the payload.
 pub const HEADER_LEN: usize = 16;
 /// CRC-32 trailer bytes after the payload.
@@ -499,10 +514,7 @@ pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
     match resp {
         Response::Rect { degraded, rows } => {
             put_degraded(&mut w, degraded);
-            w.u64(rows.len() as u64);
-            for &r in rows {
-                w.u64(r);
-            }
+            put_rows(&mut w, rows);
         }
         Response::Cells { degraded, hits } => {
             put_degraded(&mut w, degraded);
@@ -515,10 +527,7 @@ pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
             put_degraded(&mut w, degraded);
             w.u16(results.len() as u16);
             for rows in results {
-                w.u64(rows.len() as u64);
-                for &r in rows {
-                    w.u64(r);
-                }
+                put_rows(&mut w, rows);
             }
         }
         Response::Pong => {}
@@ -685,18 +694,10 @@ pub fn decode_request(frame: &Frame) -> Result<Request, FrameError> {
 pub fn decode_response(frame: &Frame) -> Result<Response, FrameError> {
     let mut r = R::new(&frame.payload);
     let resp = match frame.kind {
-        kind::RECT_OK => {
-            let degraded = get_degraded(&mut r)?;
-            let n = r.u64("row count")? as usize;
-            if r.remaining() < n * 8 {
-                return Err(FrameError::Truncated("rows"));
-            }
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(r.u64("row")?);
-            }
-            Response::Rect { degraded, rows }
-        }
+        kind::RECT_OK => Response::Rect {
+            degraded: get_degraded(&mut r)?,
+            rows: get_rows(&mut r)?,
+        },
         kind::CELLS_OK => {
             let degraded = get_degraded(&mut r)?;
             let n = r.u32("hit count")? as usize;
@@ -715,18 +716,7 @@ pub fn decode_response(frame: &Frame) -> Result<Response, FrameError> {
             if n > MAX_QUERIES {
                 return Err(FrameError::Malformed("result count over cap"));
             }
-            let mut results = Vec::with_capacity(n);
-            for _ in 0..n {
-                let m = r.u64("row count")? as usize;
-                if r.remaining() < m * 8 {
-                    return Err(FrameError::Truncated("rows"));
-                }
-                let mut rows = Vec::with_capacity(m);
-                for _ in 0..m {
-                    rows.push(r.u64("row")?);
-                }
-                results.push(rows);
-            }
+            let results = (0..n).map(|_| get_rows(&mut r)).collect::<Result<_, _>>()?;
             Response::Batch { degraded, results }
         }
         kind::PONG => Response::Pong,
@@ -760,6 +750,107 @@ pub fn decode_response(frame: &Frame) -> Result<Response, FrameError> {
     };
     r.done()?;
     Ok(resp)
+}
+
+// -------------------------------------------------------------- row sets
+
+/// Row-set form: `count × u64` rows, in the answer's order.
+const FORM_LIST: u8 = 0;
+/// Row-set form: `first: u64`, `words: u64`, `words × u64` bitmap words.
+const FORM_BITMAP: u8 = 1;
+
+/// The bitmap word count for `rows` when BITMAP is the form to send:
+/// the rows are strictly ascending, the bitmap (16 header bytes plus
+/// 8 per word) is strictly smaller than the list (8 per row), and its
+/// span `first + 64·words` fits in `u64`. `None` means LIST.
+fn bitmap_words(rows: &[u64]) -> Option<u64> {
+    let (&first, &last) = (rows.first()?, rows.last()?);
+    let words = last.checked_sub(first)? / 64 + 1;
+    let smaller = words + 2 < rows.len() as u64;
+    let fits = span_end(first, words).is_some();
+    (smaller && fits && rows.windows(2).all(|p| p[0] < p[1])).then_some(words)
+}
+
+/// One past a bitmap's last row, `first + 64·words`, if it fits `u64`.
+fn span_end(first: u64, words: u64) -> Option<u64> {
+    first.checked_add(words.checked_mul(64)?)
+}
+
+/// Writes `rows` as a row set in the smaller form.
+fn put_rows(w: &mut W, rows: &[u64]) {
+    match bitmap_words(rows) {
+        Some(words) => {
+            w.u8(FORM_BITMAP);
+            w.u64(rows.len() as u64);
+            w.u64(rows[0]);
+            w.u64(words);
+            // Little-endian words: bit `d` of the bitmap is bit `d % 8`
+            // of byte `d / 8`.
+            let base = w.0.len();
+            w.0.resize(base + 8 * words as usize, 0);
+            for &r in rows {
+                let d = (r - rows[0]) as usize;
+                w.0[base + d / 8] |= 1 << (d % 8);
+            }
+        }
+        None => {
+            w.u8(FORM_LIST);
+            w.u64(rows.len() as u64);
+            w.0.reserve(8 * rows.len());
+            for &r in rows {
+                w.u64(r);
+            }
+        }
+    }
+}
+
+/// Takes `n` little-endian `u64`s, failing before any allocation when
+/// the remaining payload cannot back them.
+fn take_u64s<'a>(
+    r: &mut R<'a>,
+    n: u64,
+    what: &'static str,
+) -> Result<impl Iterator<Item = u64> + Clone + 'a, FrameError> {
+    let len = usize::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(8))
+        .ok_or(FrameError::Truncated(what))?;
+    let bytes = r.take(len, what)?;
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap())))
+}
+
+/// Reads one row set written by [`put_rows`].
+fn get_rows(r: &mut R) -> Result<Vec<u64>, FrameError> {
+    let form = r.u8("row-set form")?;
+    let count = r.u64("row count")?;
+    match form {
+        FORM_LIST => Ok(take_u64s(r, count, "rows")?.collect()),
+        FORM_BITMAP => {
+            let first = r.u64("bitmap first row")?;
+            let n = r.u64("bitmap word count")?;
+            let words = take_u64s(r, n, "bitmap words")?;
+            if span_end(first, n).is_none() {
+                return Err(FrameError::Malformed("bitmap span overflows u64"));
+            }
+            if words.clone().map(|w| w.count_ones() as u64).sum::<u64>() != count {
+                return Err(FrameError::Malformed(
+                    "bitmap popcount differs from row count",
+                ));
+            }
+            let mut rows = Vec::with_capacity(count as usize);
+            for (i, mut word) in words.enumerate() {
+                let base = first + 64 * i as u64;
+                while word != 0 {
+                    rows.push(base + word.trailing_zeros() as u64);
+                    word &= word - 1;
+                }
+            }
+            Ok(rows)
+        }
+        _ => Err(FrameError::Malformed("unknown row-set form")),
+    }
 }
 
 // ------------------------------------------------------------- streaming
@@ -990,12 +1081,15 @@ mod tests {
         );
     }
 
-    /// An answer whose payload would exceed the cap becomes a
-    /// non-fatal typed error frame under the request's id.
+    /// An answer whose payload would exceed the cap in its smaller
+    /// form becomes a non-fatal typed error frame under the request's
+    /// id; one that fits only as a bitmap is sent whole.
     #[test]
     fn oversized_answer_encodes_as_answer_too_large() {
-        // 2 + 8 bytes of header: this many rows fill the cap exactly.
-        let fit = (MAX_PAYLOAD as usize - 10) / 8;
+        // 2 bytes of degraded count + 9 of row-set header: this many
+        // LIST rows fill the cap exactly. `vec![7; n]` is not
+        // ascending, so LIST is the only form.
+        let fit = (MAX_PAYLOAD as usize - 11) / 8;
         let rows = |n: usize| Response::Rect {
             degraded: vec![],
             rows: vec![7; n],
@@ -1006,9 +1100,33 @@ mod tests {
             decode_response(&fr.next_frame().unwrap().unwrap()),
             Ok(Response::Rect { rows, .. }) if rows.len() == fit
         ));
-        fr.push(&encode_response(4, &rows(fit + 1)));
+        assert_answer_too_large(&encode_response(4, &rows(fit + 1)), 4);
+        // Ascending rows 64 apart: the bitmap holds one row per word,
+        // so both forms are ~17.6 MB and neither fits.
+        let sparse = Response::Rect {
+            degraded: vec![],
+            rows: (0..2_200_000u64).map(|i| 64 * i).collect(),
+        };
+        assert_answer_too_large(&encode_response(5, &sparse), 5);
+        // 2.2M consecutive rows: 17.6 MB as a list, 275 KB as a bitmap.
+        let dense = Response::Rect {
+            degraded: vec![],
+            rows: (0..2_200_000).collect(),
+        };
+        let bytes = encode_response(6, &dense);
+        assert!(bytes.len() < 300_000, "{} bytes", bytes.len());
+        fr.push(&bytes);
+        assert_eq!(
+            decode_response(&fr.next_frame().unwrap().unwrap()),
+            Ok(dense)
+        );
+    }
+
+    fn assert_answer_too_large(bytes: &[u8], id: u64) {
+        let mut fr = FrameReader::new();
+        fr.push(bytes);
         let frame = fr.next_frame().unwrap().unwrap();
-        assert_eq!(frame.request_id, 4);
+        assert_eq!(frame.request_id, id);
         match decode_response(&frame).unwrap() {
             Response::Error {
                 code, retryable, ..
@@ -1018,6 +1136,122 @@ mod tests {
             }
             other => panic!("expected an error frame, got {other:?}"),
         }
+    }
+
+    /// Seeded row sets of every shape round-trip exactly, and the
+    /// encoder sends the smaller form: BITMAP (16 + 8·words bytes)
+    /// only for strictly ascending rows whose span fits in `u64`.
+    #[test]
+    fn row_sets_roundtrip_in_the_smaller_form() {
+        let mut sets: Vec<Vec<u64>> = vec![vec![], vec![0], vec![123_456_789]];
+        let mut seed = 0x5EED;
+        for density in [0.001, 0.005, 0.01, 0.015, 0.02, 0.05, 0.1, 0.5, 0.9, 1.0] {
+            for start in [0u64, 1, 63, 1 << 40] {
+                seed += 1;
+                let len = 20_000;
+                let cut = (density * u64::MAX as f64) as u64;
+                sets.push(
+                    (start..start + len)
+                        .filter(|&r| density >= 1.0 || hashkit::splitmix64(seed ^ r) < cut)
+                        .collect(),
+                );
+            }
+        }
+        // Near u64::MAX: a dense run whose bitmap span would overflow
+        // goes as a list; one that ends 72 rows short fits.
+        sets.push((u64::MAX - 100..=u64::MAX).collect());
+        sets.push((u64::MAX - 200..u64::MAX - 100).collect());
+        sets.push(vec![u64::MAX - 1, u64::MAX]);
+        // One word: 3 rows tie (24 bytes either way) and go as a list;
+        // 4 rows are smaller as a bitmap.
+        sets.push(vec![5, 6, 7]);
+        sets.push(vec![5, 6, 7, 68]);
+        // Unsorted and duplicate lists.
+        sets.push((0..500).rev().collect());
+        sets.push((0..500).map(|r| r / 2).collect());
+        sets.push((0..500).chain(0..1).collect());
+        for rows in sets {
+            let n = rows.len() as u64;
+            let list = 8 * n;
+            let ascending = rows.windows(2).all(|p| p[0] < p[1]);
+            let bitmap = match (rows.first(), rows.last()) {
+                (Some(&first), Some(&last)) if ascending => {
+                    let words = (last - first) / 64 + 1;
+                    first
+                        .checked_add(64 * words)
+                        .map_or(u64::MAX, |_| 16 + 8 * words)
+                }
+                _ => u64::MAX,
+            };
+            let bytes = encode_response(
+                1,
+                &Response::Rect {
+                    degraded: vec![],
+                    rows: rows.clone(),
+                },
+            );
+            let mut fr = FrameReader::new();
+            fr.push(&bytes);
+            let frame = fr.next_frame().unwrap().unwrap();
+            assert_eq!(
+                frame.payload.len() as u64,
+                2 + 9 + list.min(bitmap),
+                "n={n}"
+            );
+            let form = if bitmap < list {
+                FORM_BITMAP
+            } else {
+                FORM_LIST
+            };
+            assert_eq!(frame.payload[2], form, "n={n}");
+            assert_eq!(
+                decode_response(&frame),
+                Ok(Response::Rect {
+                    degraded: vec![],
+                    rows
+                })
+            );
+        }
+    }
+
+    /// A bitmap whose popcount disagrees with its count, or whose
+    /// span overflows `u64`, is a recoverable typed error.
+    #[test]
+    fn bitmap_row_sets_are_checked() {
+        let bitmap = |count: u64, first: u64, words: &[u64]| {
+            let mut w = W(Vec::new());
+            w.u16(0);
+            w.u8(FORM_BITMAP);
+            w.u64(count);
+            w.u64(first);
+            w.u64(words.len() as u64);
+            for &x in words {
+                w.u64(x);
+            }
+            let mut fr = FrameReader::new();
+            fr.push(&seal(1, kind::RECT_OK, &w.0));
+            decode_response(&fr.next_frame().unwrap().unwrap())
+        };
+        assert_eq!(
+            bitmap(3, 10, &[0b1011]),
+            Ok(Response::Rect {
+                degraded: vec![],
+                rows: vec![10, 11, 13]
+            })
+        );
+        for count in [2, 4, u64::MAX] {
+            let e = bitmap(count, 10, &[0b1011]).unwrap_err();
+            assert_eq!(
+                e,
+                FrameError::Malformed("bitmap popcount differs from row count")
+            );
+            assert!(!e.is_fatal());
+        }
+        assert_eq!(
+            bitmap(1, u64::MAX - 63, &[1]),
+            Err(FrameError::Malformed("bitmap span overflows u64"))
+        );
+        assert!(matches!(bitmap(1, 0, &[]), Err(FrameError::Malformed(_))));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! end-to-end (client → wire → admission → shards → wire → client)
 //! instead of in-process:
 //!
-//! * [`frame`] — the `ABQ/1` wire protocol: 16-byte versioned header,
+//! * [`frame`] — the `ABQ/2` wire protocol: 16-byte versioned header,
 //!   length-prefixed payload, CRC-32 trailer (reusing [`ab::crc32`]),
+//!   row sets sent as a list or as bitmap words, whichever is smaller,
 //!   typed error frames, incremental [`frame::FrameReader`];
 //! * [`sys`] — the readiness layer: epoll on Linux via hand-rolled
 //!   FFI, a portable poll(2) fallback (also selectable on Linux), and

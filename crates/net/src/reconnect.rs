@@ -1,7 +1,7 @@
 //! A self-healing wrapper over [`Client`]: when the connection drops
 //! (EOF, reset, refused write), it re-dials with the bounded
 //! decorrelated-jitter backoff from [`svc::retry()`] and **resends only
-//! the unanswered requests**, under their original ids. Every `ABQ/1`
+//! the unanswered requests**, under their original ids. Every `ABQ/2`
 //! request is a read (ping, schema, rect, cells, batch), so replay is
 //! idempotent by construction — the server may have executed a request
 //! whose response was lost, and executing it again returns the same

@@ -7,7 +7,7 @@
 
 use ab::{AbConfig, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
-use net::frame::{kind, seal, Request, Response, HEADER_LEN};
+use net::frame::{kind, seal, Request, Response, HEADER_LEN, TRAILER_LEN};
 use net::{Client, ErrorCode, NetConfig, NetServer};
 use std::io::Write;
 use std::net::TcpStream;
@@ -294,4 +294,87 @@ fn slow_loris_byte_at_a_time_still_answers() {
         }
     }
     server.shutdown(Duration::from_secs(2));
+}
+
+/// Decodes one response frame the way the client does: whole-frame
+/// CRC check, then the payload.
+fn decode(bytes: &[u8]) -> Result<Response, net::FrameError> {
+    let mut reader = net::FrameReader::new();
+    reader.push(bytes);
+    net::frame::decode_response(&reader.next_frame()?.expect("one whole frame"))
+}
+
+/// The payload of a sealed frame.
+fn payload(frame: &[u8]) -> &[u8] {
+    &frame[HEADER_LEN..frame.len() - TRAILER_LEN]
+}
+
+/// Response-side sweep: a CRC-valid answer frame whose payload lies
+/// must decode to `Err`, or to some answer, but never panic or drive
+/// an allocation the payload cannot back. Each start frame has every
+/// byte flipped (under several masks) and is re-sealed with a valid
+/// CRC, so the flips reach the payload decoder.
+#[test]
+fn resealed_response_flips_and_lying_row_counts_never_panic() {
+    let list = Response::Rect {
+        degraded: vec![1],
+        rows: vec![3, 1, 4, 1, 5],
+    };
+    let bitmap = Response::Rect {
+        degraded: vec![],
+        rows: (100..140).chain([150, 190]).collect(),
+    };
+    let batch = Response::Batch {
+        degraded: vec![0, 2],
+        results: vec![vec![9, 7], (0..64).collect(), vec![]],
+    };
+    for (resp, form_at) in [(&list, 6), (&bitmap, 2), (&batch, 12)] {
+        let clean = net::frame::encode_response(5, resp);
+        let body = payload(&clean);
+        let header = form_at..form_at + 9;
+        let count = form_at + 1..form_at + 9;
+        for pos in 0..body.len() {
+            for mask in [0x01u8, 0x20, 0x80, 0xFF] {
+                let mut bad = body.to_vec();
+                bad[pos] ^= mask;
+                let got = decode(&seal(5, resp.kind(), &bad));
+                // In a rect answer, no flip of the row set's form or
+                // count, or of a bitmap's word count or words (an odd
+                // mask changes the popcount), can go unnoticed.
+                let words = body[form_at] == 1 && pos >= form_at + 17 && mask != 0xFF;
+                if resp.kind() == kind::RECT_OK && (header.contains(&pos) || words) {
+                    assert!(got.is_err(), "flip {mask:#04x} at {pos} decoded: {got:?}");
+                }
+            }
+        }
+        // The first row set claims a count no payload can back.
+        for lie in [u64::MAX, (1 << 61) + 1] {
+            let mut bad = body.to_vec();
+            bad[count.clone()].copy_from_slice(&lie.to_le_bytes());
+            let got = decode(&seal(5, resp.kind(), &bad));
+            assert!(got.is_err(), "count {lie:#x} decoded: {got:?}");
+        }
+    }
+}
+
+/// A client that receives a lying answer from its server reports a
+/// typed frame error instead of panicking.
+#[test]
+fn client_reports_a_lying_answer_as_a_frame_error() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let mut req = [0u8; HEADER_LEN];
+        std::io::Read::read_exact(&mut s, &mut req).unwrap();
+        let mut lie = vec![0u8, 0, 0]; // no degraded shards, LIST form
+        lie.extend_from_slice(&u64::MAX.to_le_bytes());
+        let id = u64::from_le_bytes(req[4..12].try_into().unwrap());
+        s.write_all(&seal(id, kind::RECT_OK, &lie)).unwrap();
+    });
+    let mut c = Client::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let got = c.query_rect(&RectQuery::new(vec![], 0, 9), 0);
+    assert!(matches!(got, Err(net::NetError::Frame(_))), "{got:?}");
+    server.join().unwrap();
 }

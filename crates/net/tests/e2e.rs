@@ -5,8 +5,10 @@
 
 use ab::{AbConfig, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
-use net::frame::{kind, Request, Response};
+use net::frame::{kind, Request, Response, HEADER_LEN, TRAILER_LEN};
 use net::{Client, ErrorCode, NetConfig, NetError, NetServer};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 use svc::{Service, SvcConfig};
@@ -180,7 +182,7 @@ fn ping_schema_and_errors_over_the_wire() {
 
     // WAH exactness isn't built -> typed wah_unavailable... but only
     // rect/cells/batch ride the wire; exact answers are not part of
-    // ABQ/1, so nothing to assert here beyond the service contract.
+    // ABQ/2, so nothing to assert here beyond the service contract.
 
     // An expired deadline surfaces as deadline_exceeded.
     match client.query_rect(&rect(0, 0, 5, 0, 299), 1) {
@@ -360,11 +362,30 @@ fn unknown_kind_keeps_connection_alive() {
     server.shutdown(Duration::from_secs(2));
 }
 
-/// An answer whose frame would exceed `MAX_PAYLOAD` (2.2M rows at 8
-/// bytes each) comes back as a typed, non-fatal `AnswerTooLarge`
-/// error, and the same connection keeps serving.
+/// Sends one request on a raw stream and returns the response frame
+/// exactly as it crossed the wire.
+fn raw_round_trip(stream: &mut TcpStream, id: u64, req: &Request) -> net::Frame {
+    stream
+        .write_all(&net::frame::encode_request(id, req).unwrap())
+        .unwrap();
+    let mut reader = net::FrameReader::new();
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        if let Some(f) = reader.next_frame().unwrap() {
+            assert_eq!(f.request_id, id);
+            return f;
+        }
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed before answering");
+        reader.push(&buf[..n]);
+    }
+}
+
+/// An answer of 2.2M rows (17.6 MB as a row list, past `MAX_PAYLOAD`)
+/// crosses the wire whole as a bitmap row set, equal to the
+/// in-process answer, and the same connection keeps serving.
 #[test]
-fn oversized_answer_is_a_typed_error_and_the_connection_survives() {
+fn large_answer_arrives_whole_and_the_connection_survives() {
     const ROWS: usize = 2_200_000;
     let t = BinnedTable::new(vec![BinnedColumn::new(
         "a",
@@ -380,21 +401,42 @@ fn oversized_answer_is_a_typed_error_and_the_connection_survives() {
             ..SvcConfig::default()
         },
     ));
+    let whole = RectQuery::new(vec![], 0, ROWS - 1);
+    let local: Vec<u64> = svc
+        .query_rect(&whole)
+        .unwrap()
+        .into_iter()
+        .map(|r| r as u64)
+        .collect();
+    assert_eq!(local.len(), ROWS);
     both_backends(|cfg| {
         let server = start(&svc, cfg);
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        match client.query_rect(&RectQuery::new(vec![], 0, ROWS - 1), 0) {
-            Err(NetError::Remote {
-                code: ErrorCode::AnswerTooLarge,
-                retryable: false,
-                ..
-            }) => {}
-            other => panic!("expected AnswerTooLarge, got {other:?}"),
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let rect = |query: RectQuery| Request::Rect {
+            deadline_ms: 0,
+            query,
+        };
+        let frame = raw_round_trip(&mut stream, 1, &rect(whole.clone()));
+        let wire_bytes = HEADER_LEN + frame.payload.len() + TRAILER_LEN;
+        assert!(wire_bytes < 300_000, "{wire_bytes}-byte frame");
+        match net::frame::decode_response(&frame).unwrap() {
+            Response::Rect { degraded, rows } => {
+                assert!(degraded.is_empty());
+                assert!(rows == local, "socket answer differs from in-process");
+            }
+            other => panic!("expected rect rows, got {other:?}"),
         }
-        let small = client
-            .query_rect(&RectQuery::new(vec![], 0, 9), 0)
-            .expect("connection must stay open");
-        assert_eq!(small, (0..10).collect::<Vec<u64>>());
+        let frame = raw_round_trip(&mut stream, 2, &rect(RectQuery::new(vec![], 0, 9)));
+        assert_eq!(
+            net::frame::decode_response(&frame).expect("connection must stay open"),
+            Response::Rect {
+                degraded: vec![],
+                rows: (0..10).collect(),
+            }
+        );
         server.shutdown(Duration::from_secs(2));
     });
 }

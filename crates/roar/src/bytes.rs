@@ -86,8 +86,9 @@ impl std::fmt::Display for RoarError {
 
 impl std::error::Error for RoarError {}
 
-/// CRC-32 (IEEE 802.3, reflected) with a compile-time table — the
-/// same polynomial the `ab` index formats use.
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) with a
+/// compile-time table. `ab::crc32` re-exports it for the index and
+/// wire formats.
 pub fn crc32(data: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];

@@ -37,7 +37,7 @@
 //! controlled false-positive rate).
 //! `serve` builds a sharded concurrent [`svc::Service`] over the CSV
 //! and answers queries read line by line from stdin — or, with
-//! `--listen`, over TCP through the [`net`] front end (ABQ/1 binary
+//! `--listen`, over TCP through the [`net`] front end (ABQ/2 binary
 //! framing, pipelined requests, graceful drain on SIGINT/SIGTERM).
 //! With `--store FILE` it serves from a crash-safe `ABPG` segment
 //! store instead of rebuilding (mmap by default, `--store-pread` for
